@@ -27,27 +27,8 @@ from . import solver, tables, transform
 from .reference import RefConfig, rk45_solve
 from .tables import format_sci
 
-_PARSE_ERRORS = (
-    err.ParseError,
-    err.ValidationError,
-    err.UnsupportedNode,
-    err.UnboundSymbol,
-    err.NotAutonomous,
-    err.SeriesMismatchError,
-    err.DomainError,
-    err.DivisionBySingularSeries,
-    ValueError,  # bad numeric arguments, e.g. an order-0 jet of t
-)
-_SOLVE_ERRORS = (
-    err.SolveError,
-    err.MaxStepsExceeded,
-    err.StepUnderflow,
-    err.OutOfSpan,
-)
-
-
-def _fail(category: str, exc: BaseException, code: int) -> int:
-    print(f"ERROR:{category}: {exc}", file=sys.stderr)
+def _fail(category: str, message: object, code: int) -> int:
+    print(f"ERROR:{category}: {message}", file=sys.stderr)
     return code
 
 
@@ -119,13 +100,6 @@ def _error_csv_lines(rows) -> list[str]:
     return lines
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-
-
 def cmd_solve(args) -> int:
     spec = _load_problem(args.problem)
     if args.order is not None:
@@ -149,7 +123,7 @@ def cmd_solve(args) -> int:
                 if multi:
                     stem, dot, suffix = path.rpartition(".")
                     path = f"{stem}_{u}.{suffix}" if dot else f"{path}_{u}"
-                _write_lines(path, lines)
+                tables.write_lines(path, lines)
             else:
                 print(f"# unknown {u}")
                 print("\n".join(lines))
@@ -179,7 +153,7 @@ def cmd_reference(args) -> int:
     for t, state in zip(sol.points, sol.states):
         lines.append(f"{t!r}," + ",".join(format_sci(v) for v in state))
     if args.out:
-        _write_lines(args.out, lines)
+        tables.write_lines(args.out, lines)
     else:
         print("\n".join(lines))
     print(
@@ -244,12 +218,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _SOLVE_ERRORS as exc:
-        return _fail("solve", exc, 3)
-    except _PARSE_ERRORS as exc:
+    except err.DtmError as exc:
+        return _fail(exc.category, exc, exc.exit_code)
+    except ValueError as exc:  # malformed numbers, e.g. an order-0 jet of t
         return _fail("parse", exc, 2)
     except OSError as exc:
         return _fail("io", exc, 4)
+    except RecursionError:
+        return _fail("parse", "expression nests too deeply", 2)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,14 @@
 
 
 class DtmError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    The command line prints ``ERROR:<category>: <message>`` and exits with
+    ``exit_code``: bad input by default, solve failures below.
+    """
+
+    category = "parse"
+    exit_code = 2
 
 
 class ParseError(DtmError):
@@ -26,13 +33,13 @@ class SeriesMismatchError(DtmError):
 class DivisionBySingularSeries(DtmError):
     """Division by a series whose constant term is numerically zero."""
 
+    node = None  # the failing expression node, once series evaluation knows it
+
 
 class DomainError(DtmError):
     """An elementary function was applied outside its domain."""
 
-    def __init__(self, message: str, node=None):
-        super().__init__(message)
-        self.node = node
+    node = None  # the failing expression node, once series evaluation knows it
 
 
 class NonzeroBasePointScaling(DtmError):
@@ -52,7 +59,10 @@ class NotAutonomous(DtmError):
 
 
 class SolveError(DtmError):
-    """Base class for recurrence-driver failures."""
+    """Base class for recurrence-driver and integrator failures."""
+
+    category = "solve"
+    exit_code = 3
 
     def __init__(self, message: str, k: int | None = None):
         if k is not None:
@@ -73,13 +83,13 @@ class ResidualError(SolveError):
     """Post-solve residual check failed; coefficients are not trustworthy."""
 
 
-class MaxStepsExceeded(DtmError):
+class MaxStepsExceeded(SolveError):
     """The adaptive integrator hit its step budget."""
 
 
-class StepUnderflow(DtmError):
+class StepUnderflow(SolveError):
     """The adaptive integrator drove the step size below resolution."""
 
 
-class OutOfSpan(DtmError):
+class OutOfSpan(SolveError):
     """A sample point lies outside the integrated interval."""

@@ -27,6 +27,7 @@ must multiply the integral from outside.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
@@ -41,21 +42,6 @@ from .errors import (
     UnsupportedNode,
 )
 from .series import TruncatedSeries
-
-UNARY_OPS = (
-    "neg", "exp", "ln", "sin", "cos", "tan", "sec",
-    "asin", "atan", "sqrt_pos", "sqrt_neg",
-)
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
-
-# surface name -> node op
-FUNC_NAMES = {
-    "exp": "exp", "ln": "ln", "sin": "sin", "cos": "cos", "tan": "tan",
-    "sec": "sec", "asin": "asin", "atan": "atan",
-    "sqrt": "sqrt_pos", "nsqrt": "sqrt_neg",
-}
-_OP_TO_FUNC = {v: k for k, v in FUNC_NAMES.items()}
-RESERVED = set(FUNC_NAMES) | {"t", "integral", "diff", "scale"}
 
 
 class _Ops:
@@ -200,6 +186,238 @@ def symbol_names(e: Expr) -> set[str]:
     return {node.name for node in walk(e) if isinstance(node, Symbol)}
 
 
+def _keep(x):
+    return x
+
+
+def rewrite(e: Expr, atom=_keep, op=_keep) -> Expr:
+    """Rebuild the tree with each leaf mapped by ``atom``, each op name by ``op``."""
+    if isinstance(e, Unary):
+        return Unary(op(e.op), rewrite(e.child, atom, op))
+    if isinstance(e, Binary):
+        return Binary(op(e.op), rewrite(e.left, atom, op), rewrite(e.right, atom, op))
+    if isinstance(e, Integral):
+        return Integral(rewrite(e.body, atom, op))
+    return atom(e)
+
+
+# ---------------------------------------------------------------------------
+# the operator table: every layer dispatches through OPS
+
+_PREC_ADD, _PREC_NEG, _PREC_MUL, _PREC_POW, _PREC_ATOM = 10, 15, 20, 30, 40
+_PREC_CALL = _PREC_ATOM + 1  # a function argument is always parenthesised
+
+
+@dataclass(frozen=True)
+class Op:
+    """One operator as every layer sees it.
+
+    ``spelling`` is the printed function name or symbol; ``prec`` binds the
+    printed node and ``operand_prec`` is the weakest binding each operand
+    prints with unparenthesised (its length is the arity).  ``value`` is
+    the pointwise rule; it raises DomainError outside its domain or on
+    overflow.  ``jet(node, *series)`` and ``deriv(node, *derivatives)``
+    build the node's series and symbolic derivative from its operands'.
+    A ``const_exponent`` op (pow) reads its right operand from the node.
+    """
+
+    name: str
+    spelling: str
+    prec: int
+    operand_prec: tuple[int, ...]
+    value: Callable[..., float]
+    jet: Callable[..., TruncatedSeries]
+    deriv: Callable[..., "Expr"]
+    const_exponent: bool = False
+
+
+def _is_num(e: Expr, v: float) -> bool:
+    return isinstance(e, Number) and e.value == v
+
+
+_ZERO = Number(0.0)
+
+
+def _add2(a: Expr, b: Expr) -> Expr:
+    if _is_num(a, 0.0):
+        return b
+    if _is_num(b, 0.0):
+        return a
+    return Binary("add", a, b)
+
+
+def _mul2(a: Expr, b: Expr) -> Expr:
+    if _is_num(a, 0.0) or _is_num(b, 0.0):
+        return _ZERO
+    if _is_num(a, 1.0):
+        return b
+    if _is_num(b, 1.0):
+        return a
+    return Binary("mul", a, b)
+
+
+def _square(u: Expr) -> Expr:
+    return Binary("pow", u, Number(2.0))
+
+
+def _exponent(e: Binary) -> float:
+    if not isinstance(e.right, Number):
+        raise UnsupportedNode("pow exponent must be a number")
+    return e.right.value
+
+
+# pointwise rules beyond the builtins
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise DomainError(f"exp of {v!r} overflows") from None
+
+
+def _ln(v: float) -> float:
+    if v <= 0:
+        raise DomainError(f"ln of non-positive value {v!r}")
+    return math.log(v)
+
+
+def _sec(v: float) -> float:
+    c = math.cos(v)
+    if abs(c) <= series.SINGULAR_TOL:
+        raise DomainError(f"sec undefined where cos vanishes (t={v!r})")
+    return 1.0 / c
+
+
+def _asin(v: float) -> float:
+    if abs(v) > 1:
+        raise DomainError(f"asin of value {v!r} outside [-1, 1]")
+    return math.asin(v)
+
+
+def _sqrt(v: float) -> float:
+    if v < 0:
+        raise DomainError(f"sqrt of negative value {v!r}")
+    return math.sqrt(v)
+
+
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _pow(a: float, b: float) -> float:
+    try:
+        if b == int(b):
+            if a == 0.0 and b < 0:
+                raise DomainError("zero base with negative exponent")
+            return a ** int(b)
+        if a <= 0.0:
+            raise DomainError(f"non-integer power of non-positive base {a!r}")
+        return math.pow(a, b)
+    except OverflowError:
+        raise DomainError(f"power {a!r}^{b!r} overflows") from None
+
+
+# jet rules; kernels are looked up in ``series`` at call time
+
+
+def _elementary_jet(e: Unary, u: TruncatedSeries) -> TruncatedSeries:
+    return series.elementary(e.op, u)
+
+
+def _sec_jet(e: Unary, u: TruncatedSeries) -> TruncatedSeries:
+    cos_u = series.elementary("cos", u)
+    return series.div(series.constant(1.0, u.base_point, u.order), cos_u)
+
+
+def _pow_jet(e: Binary, base: TruncatedSeries) -> TruncatedSeries:
+    c = _exponent(e)
+    t0, n = base.base_point, base.order
+    if c == int(c):
+        k = int(c)
+        out = series.constant(1.0, t0, n)
+        for _ in range(abs(k)):
+            out = series.mul(out, base)
+        if k < 0:
+            out = series.div(series.constant(1.0, t0, n), out)
+        return out
+    return series.elementary("exp", series.scale(c, series.elementary("ln", base)))
+
+
+# derivative rules beyond one-liners
+
+
+def _d_sqrt(e: Unary, du: Expr) -> Expr:
+    return Binary("div", du, _mul2(Number(2.0), Unary(e.op, e.child)))
+
+
+def _d_sub(e: Binary, da: Expr, db: Expr) -> Expr:
+    if _is_num(db, 0.0):
+        return da
+    if _is_num(da, 0.0):
+        return Unary("neg", db)
+    return Binary("sub", da, db)
+
+
+def _d_div(e: Binary, da: Expr, db: Expr) -> Expr:
+    if _is_num(db, 0.0):
+        return _ZERO if _is_num(da, 0.0) else Binary("div", da, e.right)
+    num = Binary("sub", _mul2(da, e.right), _mul2(e.left, db))
+    return Binary("div", num, _square(e.right))
+
+
+def _d_pow(e: Binary, da: Expr, db: Expr) -> Expr:
+    c = _exponent(e)
+    if _is_num(da, 0.0):
+        return _ZERO
+    inner = Binary("pow", e.left, Number(c - 1.0)) if c != 1.0 else Number(1.0)
+    return _mul2(_mul2(Number(c), inner), da)
+
+
+def _function(name, spelling, value, deriv, jet=_elementary_jet) -> Op:
+    return Op(name, spelling, _PREC_ATOM, (_PREC_CALL,), value, jet, deriv)
+
+
+OPS: dict[str, Op] = {op.name: op for op in (
+    Op("neg", "-", _PREC_NEG, (_PREC_POW,), operator.neg,
+       lambda e, u: series.negate(u), lambda e, du: Unary("neg", du)),
+    _function("exp", "exp", _exp, lambda e, du: _mul2(e, du)),
+    _function("ln", "ln", _ln, lambda e, du: Binary("div", du, e.child)),
+    _function("sin", "sin", math.sin, lambda e, du: _mul2(Unary("cos", e.child), du)),
+    _function("cos", "cos", math.cos,
+              lambda e, du: Unary("neg", _mul2(Unary("sin", e.child), du))),
+    _function("tan", "tan", math.tan,
+              lambda e, du: _mul2(_add2(Number(1.0), _square(Unary("tan", e.child))), du)),
+    _function("sec", "sec", _sec,
+              lambda e, du: _mul2(_mul2(Unary("sec", e.child), Unary("tan", e.child)), du),
+              jet=_sec_jet),
+    _function("asin", "asin", _asin, lambda e, du: Binary(
+        "div", du, Unary("sqrt_pos", Binary("sub", Number(1.0), _square(e.child))))),
+    _function("atan", "atan", math.atan,
+              lambda e, du: Binary("div", du, _add2(Number(1.0), _square(e.child)))),
+    _function("sqrt_pos", "sqrt", _sqrt, _d_sqrt),
+    _function("sqrt_neg", "nsqrt", lambda v: -_sqrt(v), _d_sqrt),
+    Op("add", " + ", _PREC_ADD, (_PREC_ADD, _PREC_ADD), operator.add,
+       lambda e, a, b: series.add(a, b), lambda e, da, db: _add2(da, db)),
+    Op("sub", " - ", _PREC_ADD, (_PREC_ADD, _PREC_NEG), operator.sub,
+       lambda e, a, b: series.sub(a, b), _d_sub),
+    Op("mul", "*", _PREC_MUL, (_PREC_MUL, _PREC_MUL), operator.mul,
+       lambda e, a, b: series.mul(a, b),
+       lambda e, da, db: _add2(_mul2(da, e.right), _mul2(e.left, db))),
+    Op("div", "/", _PREC_MUL, (_PREC_MUL, _PREC_POW), _div,
+       lambda e, a, b: series.div(a, b), _d_div),
+    Op("pow", "^", _PREC_POW, (_PREC_ATOM, _PREC_ATOM), _pow, _pow_jet, _d_pow,
+       const_exponent=True),
+)}
+
+# surface name -> node op
+FUNC_NAMES = {op.spelling: op.name for op in OPS.values() if op.spelling.isidentifier()}
+RESERVED = set(FUNC_NAMES) | {"t", "integral", "diff", "scale"}
+_INFIX = {op.spelling.strip(): op.name for op in OPS.values() if len(op.operand_prec) == 2}
+
+
 # ---------------------------------------------------------------------------
 # printing
 
@@ -210,25 +428,20 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
-_PREC_ADD, _PREC_NEG, _PREC_MUL, _PREC_POW, _PREC_ATOM = 10, 15, 20, 30, 40
-
-
 def _prec(e: Expr) -> int:
-    if isinstance(e, Binary):
-        if e.op in ("add", "sub"):
-            return _PREC_ADD
-        if e.op in ("mul", "div"):
-            return _PREC_MUL
-        return _PREC_POW
-    if isinstance(e, Unary) and e.op == "neg":
-        return _PREC_NEG
+    if isinstance(e, (Unary, Binary)):
+        return OPS[e.op].prec
     if isinstance(e, Number) and e.value < 0:
         return _PREC_NEG
     return _PREC_ATOM
 
 
 def to_text(e: Expr) -> str:
-    """Render the tree so that parsing it back gives an identical tree."""
+    """Render a parsed tree so that parsing it back gives an identical tree.
+
+    A sum or product nested on the right prints unparenthesised, so it
+    parses back left-nested.
+    """
     if isinstance(e, Number):
         return _fmt_number(e.value)
     if isinstance(e, Time):
@@ -246,30 +459,21 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Integral):
         return f"integral({to_text(e.body)})"
     if isinstance(e, Unary):
-        if e.op == "neg":
-            inner = to_text(e.child)
-            if _prec(e.child) < _PREC_POW:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{_OP_TO_FUNC[e.op]}({to_text(e.child)})"
+        op = OPS[e.op]
+        inner = to_text(e.child)
+        if _prec(e.child) < op.operand_prec[0]:
+            inner = f"({inner})"
+        return f"{op.spelling}{inner}"
     if isinstance(e, Binary):
-        if e.op == "pow":
-            base = to_text(e.left)
-            if _prec(e.left) < _PREC_ATOM:
-                base = f"({base})"
-            expo = to_text(e.right)
-            if _prec(e.right) < _PREC_ATOM:
-                expo = f"({expo})"
-            return f"{base}^{expo}"
-        sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[e.op]
-        prec = _prec(e)
+        op = OPS[e.op]
+        left_prec, right_prec = op.operand_prec
         left = to_text(e.left)
-        if _prec(e.left) < prec:
+        if _prec(e.left) < left_prec:
             left = f"({left})"
         right = to_text(e.right)
-        if _prec(e.right) < prec or (_prec(e.right) == prec and e.op in ("sub", "div")):
+        if _prec(e.right) < right_prec:
             right = f"({right})"
-        return f"{left}{sym}{right}"
+        return f"{left}{op.spelling}{right}"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -344,17 +548,15 @@ class _Parser:
     def expr(self) -> Expr:
         left = self.term()
         while self.at_op("+", "-"):
-            op = self.advance()[1]
-            right = self.term()
-            left = Binary("add" if op == "+" else "sub", left, right)
+            op = _INFIX[self.advance()[1]]
+            left = Binary(op, left, self.term())
         return left
 
     def term(self) -> Expr:
         left = self.factor()
         while self.at_op("*", "/"):
-            op = self.advance()[1]
-            right = self.factor()
-            left = Binary("mul" if op == "*" else "div", left, right)
+            op = _INFIX[self.advance()[1]]
+            left = Binary(op, left, self.factor())
         return left
 
     def factor(self) -> Expr:
@@ -384,7 +586,10 @@ class _Parser:
         if kind != "num":
             raise ParseError(f"expected a number, found {val!r}", pos)
         self.advance()
-        return float(val)
+        v = float(val)
+        if not math.isfinite(v):
+            raise ParseError(f"number {val} does not fit a float", pos)
+        return v
 
     def constant_expr(self) -> Number:
         _, _, pos = self.peek()
@@ -396,8 +601,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.peek()
         if kind == "num":
-            self.advance()
-            return Number(float(val))
+            return Number(self.number())
         if kind == "op" and val == "(":
             self.advance()
             e = self.expr()
@@ -477,38 +681,13 @@ def scan_unknowns(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # simplification
 
-_FOLD_UNARY: dict[str, Callable[[float], float | None]] = {
-    "neg": lambda v: -v,
-    "exp": math.exp,
-    "ln": lambda v: math.log(v) if v > 0 else None,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": lambda v: math.tan(v) if abs(math.cos(v)) > series.SINGULAR_TOL else None,
-    "sec": lambda v: 1.0 / math.cos(v) if abs(math.cos(v)) > series.SINGULAR_TOL else None,
-    "asin": lambda v: math.asin(v) if abs(v) <= 1 else None,
-    "atan": math.atan,
-    "sqrt_pos": lambda v: math.sqrt(v) if v >= 0 else None,
-    "sqrt_neg": lambda v: -math.sqrt(v) if v >= 0 else None,
-}
-
-
-def _is_num(e: Expr, v: float) -> bool:
-    return isinstance(e, Number) and e.value == v
-
-
-def _fold_binary(op: str, a: float, b: float) -> float | None:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b if b != 0 else None
+def _fold(op: str, *values: float) -> float | None:
+    """The constant a node folds to, or None where the rule raises or overflows."""
     try:
-        return math.pow(a, b)
-    except (ValueError, OverflowError):
+        v = OPS[op].value(*values)
+    except DomainError:
         return None
+    return v if math.isfinite(v) else None
 
 
 class _Simplifier:
@@ -576,7 +755,7 @@ class _Simplifier:
             if e.op == "neg" and isinstance(e.child, Unary) and e.child.op == "neg":
                 return e.child.child
             if isinstance(e.child, Number):
-                v = _FOLD_UNARY[e.op](e.child.value)
+                v = _fold(e.op, e.child.value)
                 if v is not None:
                     return self.num(v)
             return e
@@ -584,7 +763,7 @@ class _Simplifier:
             return e
         a, b = e.left, e.right
         if isinstance(a, Number) and isinstance(b, Number):
-            v = _fold_binary(e.op, a.value, b.value)
+            v = _fold(e.op, a.value, b.value)
             if v is not None:
                 return self.num(v)
         if e.op == "add":
@@ -656,26 +835,6 @@ def simplify(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # symbolic differentiation (over Symbol atoms only)
 
-_ZERO = Number(0.0)
-
-
-def _add2(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0):
-        return b
-    if _is_num(b, 0.0):
-        return a
-    return Binary("add", a, b)
-
-
-def _mul2(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return _ZERO
-    if _is_num(a, 1.0):
-        return b
-    if _is_num(b, 1.0):
-        return a
-    return Binary("mul", a, b)
-
 
 def _d(e: Expr, name: str, memo: dict[int, Expr]) -> Expr:
     hit = memo.get(id(e))
@@ -691,56 +850,10 @@ def _d_node(e: Expr, name: str, memo: dict[int, Expr]) -> Expr:
     if isinstance(e, Symbol):
         return Number(1.0) if e.name == name else _ZERO
     if isinstance(e, Unary):
-        u, du = e.child, _d(e.child, name, memo)
-        if _is_num(du, 0.0):
-            return _ZERO
-        if e.op == "neg":
-            return Unary("neg", du)
-        if e.op == "exp":
-            return _mul2(e, du)
-        if e.op == "ln":
-            return Binary("div", du, u)
-        if e.op == "sin":
-            return _mul2(Unary("cos", u), du)
-        if e.op == "cos":
-            return Unary("neg", _mul2(Unary("sin", u), du))
-        if e.op == "tan":
-            return _mul2(_add2(Number(1.0), Binary("pow", Unary("tan", u), Number(2.0))), du)
-        if e.op == "sec":
-            return _mul2(_mul2(Unary("sec", u), Unary("tan", u)), du)
-        if e.op == "asin":
-            rad = Binary("sub", Number(1.0), Binary("pow", u, Number(2.0)))
-            return Binary("div", du, Unary("sqrt_pos", rad))
-        if e.op == "atan":
-            return Binary("div", du, _add2(Number(1.0), Binary("pow", u, Number(2.0))))
-        if e.op in ("sqrt_pos", "sqrt_neg"):
-            return Binary("div", du, _mul2(Number(2.0), Unary(e.op, u)))
-        raise UnsupportedNode(f"cannot differentiate op {e.op!r}")
+        du = _d(e.child, name, memo)
+        return _ZERO if _is_num(du, 0.0) else OPS[e.op].deriv(e, du)
     if isinstance(e, Binary):
-        da, db = _d(e.left, name, memo), _d(e.right, name, memo)
-        if e.op == "add":
-            return _add2(da, db)
-        if e.op == "sub":
-            if _is_num(db, 0.0):
-                return da
-            if _is_num(da, 0.0):
-                return Unary("neg", db)
-            return Binary("sub", da, db)
-        if e.op == "mul":
-            return _add2(_mul2(da, e.right), _mul2(e.left, db))
-        if e.op == "div":
-            if _is_num(db, 0.0):
-                return _ZERO if _is_num(da, 0.0) else Binary("div", da, e.right)
-            num = Binary("sub", _mul2(da, e.right), _mul2(e.left, db))
-            return Binary("div", num, Binary("pow", e.right, Number(2.0)))
-        if e.op == "pow":
-            if not isinstance(e.right, Number):
-                raise UnsupportedNode("pow exponent must be a number")
-            c = e.right.value
-            if _is_num(da, 0.0):
-                return _ZERO
-            inner = Binary("pow", e.left, Number(c - 1.0)) if c != 1.0 else Number(1.0)
-            return _mul2(_mul2(Number(c), inner), da)
+        return OPS[e.op].deriv(e, _d(e.left, name, memo), _d(e.right, name, memo))
     raise UnsupportedNode(
         f"symbolic differentiation does not support {type(e).__name__} nodes"
     )
@@ -753,27 +866,21 @@ def diff_sym(e: Expr, name: str) -> Expr:
 
 def substitute(e: Expr, mapping: Mapping[str, Expr | float]) -> Expr:
     """Replace Symbol atoms by expressions or numbers."""
-    if isinstance(e, Symbol) and e.name in mapping:
-        return as_expr(mapping[e.name])
-    if isinstance(e, Unary):
-        return Unary(e.op, substitute(e.child, mapping))
-    if isinstance(e, Binary):
-        return Binary(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Integral):
-        return Integral(substitute(e.body, mapping))
-    return e
+
+    def atom(a: Expr) -> Expr:
+        if isinstance(a, Symbol) and a.name in mapping:
+            return as_expr(mapping[a.name])
+        return a
+
+    return rewrite(e, atom)
+
+
+_OTHER_BRANCH = {"sqrt_pos": "sqrt_neg", "sqrt_neg": "sqrt_pos"}
 
 
 def flip_sqrt_branch(e: Expr) -> Expr:
     """Swap the positive and negative square-root branches everywhere."""
-    if isinstance(e, Unary):
-        op = {"sqrt_pos": "sqrt_neg", "sqrt_neg": "sqrt_pos"}.get(e.op, e.op)
-        return Unary(op, flip_sqrt_branch(e.child))
-    if isinstance(e, Binary):
-        return Binary(e.op, flip_sqrt_branch(e.left), flip_sqrt_branch(e.right))
-    if isinstance(e, Integral):
-        return Integral(flip_sqrt_branch(e.body))
-    return e
+    return rewrite(e, op=lambda name: _OTHER_BRANCH.get(name, name))
 
 
 # ---------------------------------------------------------------------------
@@ -816,62 +923,11 @@ def _eval_numeric_node(e: Expr, binding: Mapping[str, float], memo) -> float:
         except KeyError:
             raise UnboundSymbol(f"unknown {e.name!r} is not bound") from None
     if isinstance(e, Unary):
-        v = _eval_numeric(e.child, binding, memo)
-        if e.op == "neg":
-            return -v
-        if e.op == "exp":
-            return math.exp(v)
-        if e.op == "ln":
-            if v <= 0:
-                raise DomainError(f"ln of non-positive value {v!r}", node=e)
-            return math.log(v)
-        if e.op == "sin":
-            return math.sin(v)
-        if e.op == "cos":
-            return math.cos(v)
-        if e.op == "tan":
-            return math.tan(v)
-        if e.op == "sec":
-            c = math.cos(v)
-            if abs(c) <= series.SINGULAR_TOL:
-                raise DomainError(f"sec undefined where cos vanishes (t={v!r})", node=e)
-            return 1.0 / c
-        if e.op == "asin":
-            if abs(v) > 1:
-                raise DomainError(f"asin of value {v!r} outside [-1, 1]", node=e)
-            return math.asin(v)
-        if e.op == "atan":
-            return math.atan(v)
-        if e.op in ("sqrt_pos", "sqrt_neg"):
-            if v < 0:
-                raise DomainError(f"sqrt of negative value {v!r}", node=e)
-            r = math.sqrt(v)
-            return -r if e.op == "sqrt_neg" else r
-        raise UnsupportedNode(f"unknown unary op {e.op!r}")
+        return OPS[e.op].value(_eval_numeric(e.child, binding, memo))
     if isinstance(e, Binary):
-        a = _eval_numeric(e.left, binding, memo)
-        b = _eval_numeric(e.right, binding, memo)
-        if e.op == "add":
-            return a + b
-        if e.op == "sub":
-            return a - b
-        if e.op == "mul":
-            return a * b
-        if e.op == "div":
-            if b == 0.0:
-                raise DomainError("division by zero", node=e)
-            return a / b
-        if not isinstance(e.right, Number):
-            raise UnsupportedNode("pow exponent must be a number")
-        if b == int(b):
-            if a == 0.0 and b < 0:
-                raise DomainError("zero base with negative exponent", node=e)
-            return a ** int(b)
-        if a <= 0.0:
-            raise DomainError(
-                f"non-integer power of non-positive base {a!r}", node=e
-            )
-        return math.pow(a, b)
+        return OPS[e.op].value(
+            _eval_numeric(e.left, binding, memo), _eval_numeric(e.right, binding, memo)
+        )
     raise UnsupportedNode(
         f"{type(e).__name__} nodes cannot be evaluated pointwise"
     )
@@ -892,9 +948,9 @@ def eval_series(
     The time variable maps to the jet of t about t0 (also inside integral
     bodies, where it plays the dummy variable), unknowns map to their
     bound series (argument-rescaled when a scale is present), and every
-    operator maps to the corresponding series operation.  Coefficient k
-    of the result is the k-th differential transform of the expression
-    at t0, up to truncation.
+    operator maps to its jet rule.  Coefficient k of the result is the
+    k-th differential transform of the expression at t0, up to
+    truncation.  A domain failure names the innermost failing subtree.
     """
     if isinstance(e, Number):
         return series.constant(e.value, t0, n)
@@ -906,7 +962,7 @@ def eval_series(
         )
     if isinstance(e, Unknown):
         s = _bound_series(e.name, binding, t0, n)
-        return _annotate(series.rescale_argument, e)(s, e.scale)
+        return series.rescale_argument(s, e.scale)
     if isinstance(e, Deriv):
         s = _bound_series(e.name, binding, t0, n)
         d = series.formal_derivative(s, e.order)
@@ -916,26 +972,22 @@ def eval_series(
     if isinstance(e, Integral):
         return series.integrate(eval_series(e.body, binding, t0, n))
     if isinstance(e, Unary):
-        u = eval_series(e.child, binding, t0, n)
-        if e.op == "neg":
-            return series.negate(u)
-        if e.op == "sec":
-            cos_u = _annotate(series.elementary, e)("cos", u)
-            return _annotate(series.div, e)(series.constant(1.0, t0, n), cos_u)
-        return _annotate(series.elementary, e)(e.op, u)
-    if isinstance(e, Binary):
-        a = eval_series(e.left, binding, t0, n)
-        if e.op == "pow":
-            return _pow_series(a, e, binding, t0, n)
-        b = eval_series(e.right, binding, t0, n)
-        if e.op == "add":
-            return series.add(a, b)
-        if e.op == "sub":
-            return series.sub(a, b)
-        if e.op == "mul":
-            return series.mul(a, b)
-        return _annotate(series.div, e)(a, b)
-    raise UnsupportedNode(f"cannot evaluate {type(e).__name__} as a series")
+        op = OPS[e.op]
+        operands = (eval_series(e.child, binding, t0, n),)
+    elif isinstance(e, Binary):
+        op = OPS[e.op]
+        operands = (eval_series(e.left, binding, t0, n),)
+        if not op.const_exponent:
+            operands += (eval_series(e.right, binding, t0, n),)
+    else:
+        raise UnsupportedNode(f"cannot evaluate {type(e).__name__} as a series")
+    try:
+        return op.jet(e, *operands)
+    except (DomainError, DivisionBySingularSeries) as err:
+        if err.node is None:
+            err.node = e
+            err.args = (f"{err} in '{to_text(e)}'",)
+        raise
 
 
 def _bound_series(name, binding, t0, n) -> TruncatedSeries:
@@ -949,38 +1001,3 @@ def _bound_series(name, binding, t0, n) -> TruncatedSeries:
             f"expected base {t0}, order {n}"
         )
     return s
-
-
-def _annotate(fn, node):
-    """Tag domain failures with the subtree that caused them."""
-
-    def wrapped(*args):
-        try:
-            return fn(*args)
-        except DomainError as err:
-            if err.node is None:
-                raise DomainError(f"{err} in '{to_text(node)}'", node=node) from None
-            raise
-        except DivisionBySingularSeries as err:
-            if not getattr(err, "expr_node", None):
-                err.expr_node = node
-                err.args = (f"{err.args[0]} in '{to_text(node)}'",)
-            raise
-
-    return wrapped
-
-
-def _pow_series(base, e, binding, t0, n) -> TruncatedSeries:
-    if not isinstance(e.right, Number):
-        raise UnsupportedNode("pow exponent must be a number")
-    c = e.right.value
-    if c == int(c):
-        k = int(c)
-        out = series.constant(1.0, t0, n)
-        for _ in range(abs(k)):
-            out = series.mul(out, base)
-        if k < 0:
-            out = _annotate(series.div, e)(series.constant(1.0, t0, n), out)
-        return out
-    ln_base = _annotate(series.elementary, e)("ln", base)
-    return series.elementary("exp", series.scale(c, ln_base))

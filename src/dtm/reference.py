@@ -48,6 +48,7 @@ E = np.array(
 )
 
 MIN_FACTOR, MAX_FACTOR = 0.2, 5.0
+SAFETY = 0.9
 
 
 def _interpolant_matrix() -> np.ndarray:
@@ -106,9 +107,7 @@ class RefConfig:
 
     atol: float = 1e-12
     rtol: float = 1e-8
-    initial_step: float | None = None
     max_steps: int = 100_000
-    safety: float = 0.9
 
     def __post_init__(self):
         if self.atol <= 0 or self.rtol <= 0:
@@ -204,7 +203,7 @@ def rk45_solve(
     t = float(t0)
     y = np.asarray(y0, dtype=float)
     k1 = f(t, y)
-    h = cfg.initial_step or _initial_step(f, t, y, k1, t_end, cfg)
+    h = _initial_step(f, t, y, k1, t_end, cfg)
     segments: list[_Segment] = []
     accepted = rejected = 0
     err_acc: list[float] = []
@@ -239,12 +238,12 @@ def rk45_solve(
             accepted += 1
             err_acc.append(norm)
             factor = MAX_FACTOR if norm == 0 else min(
-                MAX_FACTOR, cfg.safety * norm ** -0.2
+                MAX_FACTOR, SAFETY * norm ** -0.2
             )
             h *= max(1.0, factor)
         else:
             rejected += 1
-            h *= max(MIN_FACTOR, cfg.safety * norm ** -0.2)
+            h *= max(MIN_FACTOR, SAFETY * norm ** -0.2)
 
     sol = RefSolution(
         names=names,

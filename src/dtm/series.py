@@ -26,10 +26,6 @@ from .errors import (
 # attempt is made to cancel removable singularities.
 SINGULAR_TOL = 1e-300
 
-ELEMENTARY_KINDS = (
-    "exp", "ln", "sin", "cos", "tan", "asin", "atan", "sqrt_pos", "sqrt_neg",
-)
-
 
 @dataclass(frozen=True)
 class TruncatedSeries:
@@ -220,7 +216,10 @@ def sin_cos(u: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
 def _exp(u: TruncatedSeries) -> TruncatedSeries:
     n = u.order
     e = [0.0] * (n + 1)
-    e[0] = math.exp(u.coeffs[0])
+    try:
+        e[0] = math.exp(u.coeffs[0])
+    except OverflowError:
+        raise DomainError(f"exp overflows at constant term {u.coeffs[0]!r}") from None
     for k in range(1, n + 1):
         acc = 0.0
         for j in range(1, k + 1):
@@ -244,7 +243,7 @@ def _ln(u: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(u.base_point, tuple(w))
 
 
-def _sqrt(u: TruncatedSeries, negative_branch: bool) -> TruncatedSeries:
+def _sqrt(u: TruncatedSeries) -> TruncatedSeries:
     u0 = u.coeffs[0]
     if u0 <= 0.0:
         raise DomainError(f"sqrt requires a positive constant term, got {u0!r}")
@@ -256,8 +255,7 @@ def _sqrt(u: TruncatedSeries, negative_branch: bool) -> TruncatedSeries:
         for j in range(1, k):
             acc -= s[j] * s[k - j]
         s[k] = acc / (2.0 * s[0])
-    result = TruncatedSeries(u.base_point, tuple(s))
-    return negate(result) if negative_branch else result
+    return TruncatedSeries(u.base_point, tuple(s))
 
 
 def _tan(u: TruncatedSeries) -> TruncatedSeries:
@@ -283,7 +281,7 @@ def _asin(u: TruncatedSeries) -> TruncatedSeries:
     n = u.order
     one = constant(1.0, u.base_point, n)
     radicand = sub(one, mul(u, u))
-    integrand = div(formal_derivative(u), _sqrt(radicand, False))
+    integrand = div(formal_derivative(u), _sqrt(radicand))
     return _with_constant(integrate(integrand), math.asin(u0))
 
 
@@ -294,32 +292,32 @@ def _atan(u: TruncatedSeries) -> TruncatedSeries:
     return _with_constant(integrate(integrand), math.atan(u.coeffs[0]))
 
 
+_KERNELS = {
+    "exp": _exp,
+    "ln": _ln,
+    "sin": lambda u: sin_cos(u)[0],
+    "cos": lambda u: sin_cos(u)[1],
+    "tan": _tan,
+    "asin": _asin,
+    "atan": _atan,
+    "sqrt_pos": _sqrt,
+    "sqrt_neg": lambda u: negate(_sqrt(u)),  # the negative branch -sqrt
+}
+
+
 def elementary(kind: str, u: TruncatedSeries) -> TruncatedSeries:
     """Taylor coefficients of kind(u) to the order of u.
 
     ``kind`` is one of exp, ln, sin, cos, tan, asin, atan, sqrt_pos,
     sqrt_neg (the negative branch -sqrt).  Domain conditions on the
-    constant term raise DomainError naming the violated condition.
+    constant term, and an exp that overflows, raise DomainError naming
+    the violated condition.
     """
-    if kind == "exp":
-        return _exp(u)
-    if kind == "ln":
-        return _ln(u)
-    if kind == "sin":
-        return sin_cos(u)[0]
-    if kind == "cos":
-        return sin_cos(u)[1]
-    if kind == "tan":
-        return _tan(u)
-    if kind == "asin":
-        return _asin(u)
-    if kind == "atan":
-        return _atan(u)
-    if kind == "sqrt_pos":
-        return _sqrt(u, False)
-    if kind == "sqrt_neg":
-        return _sqrt(u, True)
-    raise ValueError(f"unknown elementary kind {kind!r}")
+    try:
+        kernel = _KERNELS[kind]
+    except KeyError:
+        raise ValueError(f"unknown elementary kind {kind!r}") from None
+    return kernel(u)
 
 
 def from_coeffs(t0: float, coeffs: Iterable[float]) -> TruncatedSeries:

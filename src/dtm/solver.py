@@ -175,7 +175,7 @@ def load_problem(text: str) -> ProblemSpec:
     if not unknowns:
         raise ValidationError("problem file declares no unknowns")
 
-    equations = tuple(_parse_equation(lineno, text, unknowns) for lineno, text in raw_eqs)
+    equations = tuple(_parse_equation(lineno, text, unknowns, t0) for lineno, text in raw_eqs)
     _validate(name, order, unknowns, equations, raw_init)
 
     init = {u: raw_init[u] for u in unknowns}
@@ -195,7 +195,7 @@ def load_problem(text: str) -> ProblemSpec:
     )
 
 
-def _parse_equation(lineno: int, text: str, unknowns: Sequence[str]) -> Equation:
+def _parse_equation(lineno: int, text: str, unknowns: Sequence[str], t0: float) -> Equation:
     sides = _split_sides(text)
     m = _EQ_TAIL_RE.match(sides[1]) if sides else None
     if m is None:
@@ -217,6 +217,12 @@ def _parse_equation(lineno: int, text: str, unknowns: Sequence[str]) -> Equation
                 raise ValidationError(
                     f"line {lineno}: integral bodies may reference unknowns, "
                     "not their derivatives"
+                )
+            # rescaling the argument moves any expansion point but 0
+            if isinstance(node, (ex.Unknown, ex.Deriv)) and node.scale != 1.0 and t0 != 0.0:
+                raise ValidationError(
+                    f"line {lineno}: {ex.to_text(node)} rescales the argument, "
+                    f"which needs t0 = 0, not {t0!r}"
                 )
     declared = None
     if m.group("q") is not None:

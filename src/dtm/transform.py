@@ -154,7 +154,16 @@ def dt_recurrence(f: Expr, unknowns: Sequence[str], n: int) -> SymbolicTransform
     _reject_nodes(f, "transform requests")
     families = _families_for(f, unknowns)
 
-    f0 = _substitute_atoms(f, {fam.unknown: f"{fam.prefix}(0)" for fam in families})
+    heads = {fam.unknown: f"{fam.prefix}(0)" for fam in families}
+
+    def atom(a: Expr) -> Expr:
+        if isinstance(a, ex.Time):
+            return Symbol("t0")
+        if isinstance(a, ex.Unknown):
+            return Symbol(heads[a.name])
+        return a
+
+    f0 = ex.rewrite(f, atom)
     terms = [simplify(f0)]
     for k in range(1, n + 1):
         update = ex.diff_sym(terms[-1], "t0")
@@ -171,22 +180,6 @@ def dt_recurrence(f: Expr, unknowns: Sequence[str], n: int) -> SymbolicTransform
                 update = ex.Binary("add", update, bump)
         terms.append(simplify(ex.Binary("div", update, ex.Number(float(k)))))
     return SymbolicTransform(tuple(terms), families)
-
-
-def _substitute_atoms(f: Expr, unknown_symbols: Mapping[str, str]) -> Expr:
-    if isinstance(f, ex.Time):
-        return Symbol("t0")
-    if isinstance(f, ex.Unknown):
-        return Symbol(unknown_symbols[f.name])
-    if isinstance(f, ex.Unary):
-        return ex.Unary(f.op, _substitute_atoms(f.child, unknown_symbols))
-    if isinstance(f, ex.Binary):
-        return ex.Binary(
-            f.op,
-            _substitute_atoms(f.left, unknown_symbols),
-            _substitute_atoms(f.right, unknown_symbols),
-        )
-    return f
 
 
 def dt_autonomous(

@@ -1,5 +1,11 @@
+import os
 import re
+import subprocess
+import sys
 
+import pytest
+
+import dtm
 from dtm.cli import main
 
 
@@ -208,3 +214,79 @@ def test_tables_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 5
     assert "overall: FAIL" in out
     assert errtext.startswith("ERROR:acceptance:")
+
+
+# ---------------------------------------------------------------------------
+# every failure ends in one ERROR line with its documented exit code
+
+_SCALED_OFF_ZERO = (
+    "name: scaled\nt0: 1\norder: 5\nunknown: y\n"
+    "eq: diff(y, 1) = y(0.5*t) solves y order 1\ninit y: 1\n"
+)
+_EXP_TOWER = (
+    "name: tower\nt0: 0\norder: 5\nunknown: y\n"
+    "eq: diff(y, 1) = exp(exp(exp(y))) solves y order 1\ninit y: 3\npoints: 0.1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, category",
+    [
+        (["transform", "--f", "y(2*t)", "--t0", "1", "--n", "3"], 2, "parse"),
+        (["solve", "{scaled}"], 2, "parse"),
+        (["transform", "--f", "exp(1000) + y", "--n", "2", "--method", "both"], 2, "parse"),
+        (["transform", "--f", "exp(y)", "--seed", "Y(0)=1000", "--n", "2"], 2, "parse"),
+        (["solve", "{tower}"], 3, "solve"),
+        (["reference", "{tower}"], 3, "solve"),
+        (["transform", "--f", " + ".join(["y"] * 500), "--n", "2", "--method", "t2"],
+         2, "parse"),
+        (["transform", "--f", "(" * 200 + "y" + ")" * 200, "--n", "2"], 2, "parse"),
+        (["transform", "--f", "1e999 + y", "--n", "2"], 2, "parse"),
+    ],
+    ids=[
+        "transform-scaled-off-zero", "problem-scaled-off-zero", "exp-overflow-both",
+        "exp-overflow-seed", "exp-tower-solve", "exp-tower-reference", "sum-of-500",
+        "200-parentheses", "literal-overflow",
+    ],
+)
+def test_failures_end_in_one_error_line(tmp_path, capsys, argv, code, category):
+    files = {"scaled": _SCALED_OFF_ZERO, "tower": _EXP_TOWER}
+    for name, text in files.items():
+        (tmp_path / f"{name}.dtm").write_text(text)
+    argv = [a.format(**{n: str(tmp_path / f"{n}.dtm") for n in files}) for a in argv]
+    got, _, errtext = run(capsys, *argv)
+    assert got == code
+    lines = errtext.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"ERROR:{category}: ")
+
+
+def test_scaled_unknown_off_zero_names_its_line(tmp_path, capsys):
+    path = tmp_path / "scaled.dtm"
+    path.write_text(_SCALED_OFF_ZERO)
+    _, _, errtext = run(capsys, "solve", str(path))
+    assert "line 5: y(0.5*t)" in errtext
+
+
+def test_overflowing_constant_stays_symbolic(capsys):
+    # like 10^400, exp(1000) is exact as a term; only evaluating it fails
+    code, out, errtext = run(
+        capsys, "transform", "--f", "exp(1000) + y", "--n", "2", "--method", "t2"
+    )
+    assert code == 0 and errtext == ""
+    assert out.splitlines()[0] == "F(0) = exp(1000) + Y(0)"
+
+
+def test_deep_sum_still_transforms():
+    # run as a fresh process: the test runner's own frames eat into the
+    # interpreter's recursion limit
+    src = os.path.dirname(os.path.dirname(dtm.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    term = " + ".join(["y"] * 450)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtm", "transform", "--f", term, "--seed", "Y(0)=1",
+         "--n", "2", "--method", "both"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "F(0) = 450"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtm import expr as E
 from dtm import series
@@ -408,3 +410,137 @@ def test_eval_series_annotates_failing_subtree():
 def test_eval_series_unbound_unknown():
     with pytest.raises(UnboundSymbol):
         eval_series(parse("y", ["y"]), {}, 0.0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the operator table
+
+# in-domain constant terms per operator (operands default to [-2, 2])
+_DOMAIN = {
+    "ln": (0.2, 3.0),
+    "asin": (-0.9, 0.9),
+    "sqrt_pos": (0.2, 3.0),
+    "sqrt_neg": (0.2, 3.0),
+    "tan": (-1.2, 1.2),
+    "sec": (-1.2, 1.2),
+    "pow": (0.2, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(E.OPS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_op_rules_agree(name, data):
+    """Jet coefficient 0 is the pointwise value, coefficient 1 the chain rule."""
+    op = E.OPS[name]
+    lo, hi = _DOMAIN.get(name, (-2.0, 2.0))
+    unit = st.floats(-1.0, 1.0)
+    heads = [data.draw(st.floats(lo, hi))]
+    if op.const_exponent:
+        expo = Number(data.draw(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 3.0])))
+        values = (heads[0], expo.value)
+    elif len(op.operand_prec) == 2:
+        # a divisor stays away from zero
+        b0 = data.draw(st.floats(0.5, 2.0)) * data.draw(st.sampled_from([-1.0, 1.0]))
+        heads.append(b0 if name == "div" else data.draw(st.floats(lo, hi)))
+        values = tuple(heads)
+    else:
+        values = tuple(heads)
+    jets = {
+        u: jet([h, data.draw(unit), data.draw(unit), data.draw(unit)])
+        for u, h in zip("ab", heads)
+    }
+    if op.const_exponent:
+        node, sym = Binary(name, Unknown("a"), expo), Binary(name, Symbol("a"), expo)
+    elif len(heads) == 2:
+        node = Binary(name, Unknown("a"), Unknown("b"))
+        sym = Binary(name, Symbol("a"), Symbol("b"))
+    else:
+        node, sym = Unary(name, Unknown("a")), Unary(name, Symbol("a"))
+    got = eval_series(node, jets, 0.0, 3).coeffs
+
+    assert got[0] == pytest.approx(op.value(*values), rel=1e-12, abs=1e-15)
+    at = {u: h for u, h in zip("ab", heads)}
+    slope = 0.0
+    for i, u in enumerate("ab"[: len(heads)]):
+        seeds = [Number(1.0 if j == i else 0.0) for j in range(len(op.operand_prec))]
+        slope += eval_numeric(op.deriv(sym, *seeds), at) * jets[u].coeffs[1]
+    assert got[1] == pytest.approx(slope, rel=1e-12, abs=1e-15)
+
+
+def _parseable_trees():
+    """Random trees in the parser's image, over every operator spelling.
+
+    The grammar is left-associative, so a binary node never holds an
+    unparenthesised right operand of its own precedence, and a negated
+    bare number parses as a negative literal.
+    """
+    leaves = st.one_of(
+        st.floats(-100.0, 100.0).map(Number),
+        st.just(Time()),
+        st.just(Unknown("y")),
+        st.floats(0.1, 10.0).map(lambda q: Unknown("z", q)),
+        st.builds(Deriv, st.just("y"), st.integers(1, 3), st.floats(0.1, 2.0)),
+    )
+    unary = [n for n, op in E.OPS.items() if len(op.operand_prec) == 1]
+    infix = [
+        n for n, op in E.OPS.items() if len(op.operand_prec) == 2 and not op.const_exponent
+    ]
+    powers = [n for n, op in E.OPS.items() if op.const_exponent]
+
+    def ambiguous(e):
+        # a + (b - c) prints as a + b - c, which parses as (a + b) - c
+        group = {"add": "sum", "sub": "sum", "mul": "product", "div": "product"}
+        return (
+            e.op in ("add", "mul")
+            and isinstance(e.right, Binary)
+            and group.get(e.right.op) == group[e.op]
+        )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Unary, st.sampled_from(unary), children).filter(
+                lambda e: not (e.op == "neg" and isinstance(e.child, Number))
+            ),
+            st.builds(Binary, st.sampled_from(infix), children, children).filter(
+                lambda e: not ambiguous(e)
+            ),
+            st.builds(Binary, st.sampled_from(powers), children,
+                      st.floats(-4.0, 4.0).map(Number)),
+            st.builds(Integral, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_parseable_trees())
+def test_print_parse_round_trip_random(tree):
+    assert parse(to_text(tree), ["y", "z"]) == tree
+
+
+def test_parser_names_come_from_the_table():
+    assert E.FUNC_NAMES == {
+        "exp": "exp", "ln": "ln", "sin": "sin", "cos": "cos", "tan": "tan",
+        "sec": "sec", "asin": "asin", "atan": "atan",
+        "sqrt": "sqrt_pos", "nsqrt": "sqrt_neg",
+    }
+    assert E.RESERVED == set(E.FUNC_NAMES) | {"t", "integral", "diff", "scale"}
+
+
+def test_fold_skips_rules_that_raise_or_overflow():
+    y = Symbol("Y(0)")
+    for text in ("exp(1000)", "ln(-1)", "0^0.5", "1e200*1e200", "10^400"):
+        tree = Binary("add", parse(text, []), y)
+        assert simplify(tree).left == parse(text, [])
+    with pytest.raises(ParseError, match="does not fit a float"):
+        parse("1e999 + y", ["y"])
+
+
+def test_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows"):
+        eval_numeric(parse("exp(t)", []), {"t": 1000.0})
+    with pytest.raises(DomainError, match="overflows"):
+        eval_numeric(parse("t^3", []), {"t": 1e200})
+    with pytest.raises(DomainError, match="in 'exp\\(y\\)'"):
+        eval_series(parse("exp(y)", ["y"]), {"y": jet([1000.0, 1.0])}, 0.0, 1)

@@ -59,17 +59,32 @@ def test_load_problem_delay_scale():
 
 
 def test_load_problem_declared_scale_clause():
-    text = EX1_TEXT.replace(
+    # argument scaling needs expansion point 0
+    at_zero = EX1_TEXT.replace("t0: 1", "t0: 0")
+    text = at_zero.replace(
         "eq: diff(y, 1) - y = ln(t + y) solves y order 1",
         "eq: diff(y, 1, scale=0.5) - y = ln(t + y) solves y order 1 scale 1/2",
     )
     assert load_problem(text).equations[0].lhs_scale == 0.5
-    conflicting = EX1_TEXT.replace(
+    conflicting = at_zero.replace(
         "eq: diff(y, 1) - y = ln(t + y) solves y order 1",
         "eq: diff(y, 1, scale=0.25) - y = ln(t + y) solves y order 1 scale 1/2",
     )
     with pytest.raises(ValidationError):
         load_problem(conflicting)
+
+
+@pytest.mark.parametrize(
+    "eq",
+    [
+        "diff(y, 1, scale=0.5) - y = ln(t + y) solves y order 1",
+        "diff(y, 1) - y = ln(t + y(0.5*t)) solves y order 1",
+    ],
+)
+def test_load_problem_rejects_rescaling_away_from_zero(eq):
+    text = EX1_TEXT.replace("eq: diff(y, 1) - y = ln(t + y) solves y order 1", f"eq: {eq}")
+    with pytest.raises(ValidationError, match="line 5: .* needs t0 = 0"):
+        load_problem(text)
 
 
 def test_load_problem_missing_init():
