@@ -80,7 +80,7 @@ class NonlinearStep(SolveError):
 
 
 class ResidualError(SolveError):
-    """Post-solve residual check failed; coefficients are not trustworthy."""
+    """A residual overflows or exceeds its bound; coefficients are not trustworthy."""
 
 
 class MaxStepsExceeded(SolveError):

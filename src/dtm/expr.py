@@ -216,9 +216,12 @@ class Op:
     printed node and ``operand_prec`` is the weakest binding each operand
     prints with unparenthesised (its length is the arity).  ``value`` is
     the pointwise rule; it raises DomainError outside its domain or on
-    overflow.  ``jet(node, *series)`` and ``deriv(node, *derivatives)``
-    build the node's series and symbolic derivative from its operands'.
-    A ``const_exponent`` op (pow) reads its right operand from the node.
+    overflow.  ``jet(node, *series)`` builds the node's series from its
+    operands'.  ``deriv(builder, node, *derivatives)`` builds the node's
+    symbolic derivative from its operands' through the Builder's
+    constructors, so it comes out simplified; ``Builder.diff`` calls it
+    only when some operand's derivative is nonzero.  A ``const_exponent``
+    op (pow) reads its right operand from the node.
     """
 
     name: str
@@ -233,31 +236,6 @@ class Op:
 
 def _is_num(e: Expr, v: float) -> bool:
     return isinstance(e, Number) and e.value == v
-
-
-_ZERO = Number(0.0)
-
-
-def _add2(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0):
-        return b
-    if _is_num(b, 0.0):
-        return a
-    return Binary("add", a, b)
-
-
-def _mul2(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return _ZERO
-    if _is_num(a, 1.0):
-        return b
-    if _is_num(b, 1.0):
-        return a
-    return Binary("mul", a, b)
-
-
-def _square(u: Expr) -> Expr:
-    return Binary("pow", u, Number(2.0))
 
 
 def _exponent(e: Binary) -> float:
@@ -346,34 +324,24 @@ def _pow_jet(e: Binary, base: TruncatedSeries) -> TruncatedSeries:
     return series.elementary("exp", series.scale(c, series.elementary("ln", base)))
 
 
-# derivative rules beyond one-liners
+# derivative rules beyond one-liners; ``b`` is the Builder they build through
 
 
-def _d_sqrt(e: Unary, du: Expr) -> Expr:
-    return Binary("div", du, _mul2(Number(2.0), Unary(e.op, e.child)))
+def _d_sqrt(b: "Builder", e: Unary, du: Expr) -> Expr:
+    return b.binary("div", du, b.binary("mul", b.num(2.0), e))
 
 
-def _d_sub(e: Binary, da: Expr, db: Expr) -> Expr:
+def _d_div(b: "Builder", e: Binary, da: Expr, db: Expr) -> Expr:
     if _is_num(db, 0.0):
-        return da
-    if _is_num(da, 0.0):
-        return Unary("neg", db)
-    return Binary("sub", da, db)
+        return b.binary("div", da, e.right)
+    num = b.binary("sub", b.binary("mul", da, e.right), b.binary("mul", e.left, db))
+    return b.binary("div", num, b.binary("pow", e.right, b.num(2.0)))
 
 
-def _d_div(e: Binary, da: Expr, db: Expr) -> Expr:
-    if _is_num(db, 0.0):
-        return _ZERO if _is_num(da, 0.0) else Binary("div", da, e.right)
-    num = Binary("sub", _mul2(da, e.right), _mul2(e.left, db))
-    return Binary("div", num, _square(e.right))
-
-
-def _d_pow(e: Binary, da: Expr, db: Expr) -> Expr:
+def _d_pow(b: "Builder", e: Binary, da: Expr, db: Expr) -> Expr:
     c = _exponent(e)
-    if _is_num(da, 0.0):
-        return _ZERO
-    inner = Binary("pow", e.left, Number(c - 1.0)) if c != 1.0 else Number(1.0)
-    return _mul2(_mul2(Number(c), inner), da)
+    inner = b.binary("pow", e.left, b.num(c - 1.0))
+    return b.binary("mul", b.binary("mul", b.num(c), inner), da)
 
 
 def _function(name, spelling, value, deriv, jet=_elementary_jet) -> Op:
@@ -382,30 +350,30 @@ def _function(name, spelling, value, deriv, jet=_elementary_jet) -> Op:
 
 OPS: dict[str, Op] = {op.name: op for op in (
     Op("neg", "-", _PREC_NEG, (_PREC_POW,), operator.neg,
-       lambda e, u: series.negate(u), lambda e, du: Unary("neg", du)),
-    _function("exp", "exp", _exp, lambda e, du: _mul2(e, du)),
-    _function("ln", "ln", _ln, lambda e, du: Binary("div", du, e.child)),
-    _function("sin", "sin", math.sin, lambda e, du: _mul2(Unary("cos", e.child), du)),
-    _function("cos", "cos", math.cos,
-              lambda e, du: Unary("neg", _mul2(Unary("sin", e.child), du))),
-    _function("tan", "tan", math.tan,
-              lambda e, du: _mul2(_add2(Number(1.0), _square(Unary("tan", e.child))), du)),
-    _function("sec", "sec", _sec,
-              lambda e, du: _mul2(_mul2(Unary("sec", e.child), Unary("tan", e.child)), du),
-              jet=_sec_jet),
-    _function("asin", "asin", _asin, lambda e, du: Binary(
-        "div", du, Unary("sqrt_pos", Binary("sub", Number(1.0), _square(e.child))))),
-    _function("atan", "atan", math.atan,
-              lambda e, du: Binary("div", du, _add2(Number(1.0), _square(e.child)))),
+       lambda e, u: series.negate(u), lambda b, e, du: b.unary("neg", du)),
+    _function("exp", "exp", _exp, lambda b, e, du: b.binary("mul", e, du)),
+    _function("ln", "ln", _ln, lambda b, e, du: b.binary("div", du, e.child)),
+    _function("sin", "sin", math.sin,
+              lambda b, e, du: b.binary("mul", b.unary("cos", e.child), du)),
+    _function("cos", "cos", math.cos, lambda b, e, du: b.unary(
+        "neg", b.binary("mul", b.unary("sin", e.child), du))),
+    _function("tan", "tan", math.tan, lambda b, e, du: b.binary(
+        "mul", b.binary("add", b.num(1.0), b.binary("pow", e, b.num(2.0))), du)),
+    _function("sec", "sec", _sec, lambda b, e, du: b.binary(
+        "mul", b.binary("mul", e, b.unary("tan", e.child)), du), jet=_sec_jet),
+    _function("asin", "asin", _asin, lambda b, e, du: b.binary("div", du, b.unary(
+        "sqrt_pos", b.binary("sub", b.num(1.0), b.binary("pow", e.child, b.num(2.0)))))),
+    _function("atan", "atan", math.atan, lambda b, e, du: b.binary(
+        "div", du, b.binary("add", b.num(1.0), b.binary("pow", e.child, b.num(2.0))))),
     _function("sqrt_pos", "sqrt", _sqrt, _d_sqrt),
     _function("sqrt_neg", "nsqrt", lambda v: -_sqrt(v), _d_sqrt),
     Op("add", " + ", _PREC_ADD, (_PREC_ADD, _PREC_ADD), operator.add,
-       lambda e, a, b: series.add(a, b), lambda e, da, db: _add2(da, db)),
+       lambda e, a, b: series.add(a, b), lambda b, e, da, db: b.binary("add", da, db)),
     Op("sub", " - ", _PREC_ADD, (_PREC_ADD, _PREC_NEG), operator.sub,
-       lambda e, a, b: series.sub(a, b), _d_sub),
+       lambda e, a, b: series.sub(a, b), lambda b, e, da, db: b.binary("sub", da, db)),
     Op("mul", "*", _PREC_MUL, (_PREC_MUL, _PREC_MUL), operator.mul,
-       lambda e, a, b: series.mul(a, b),
-       lambda e, da, db: _add2(_mul2(da, e.right), _mul2(e.left, db))),
+       lambda e, a, b: series.mul(a, b), lambda b, e, da, db: b.binary(
+           "add", b.binary("mul", da, e.right), b.binary("mul", e.left, db))),
     Op("div", "/", _PREC_MUL, (_PREC_MUL, _PREC_POW), _div,
        lambda e, a, b: series.div(a, b), _d_div),
     Op("pow", "^", _PREC_POW, (_PREC_ATOM, _PREC_ATOM), _pow, _pow_jet, _d_pow,
@@ -679,7 +647,7 @@ def scan_unknowns(text: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# simplification
+# building: simplification and symbolic differentiation (over Symbol atoms)
 
 def _fold(op: str, *values: float) -> float | None:
     """The constant a node folds to, or None where the rule raises or overflows."""
@@ -690,77 +658,106 @@ def _fold(op: str, *values: float) -> float | None:
     return v if math.isfinite(v) else None
 
 
-class _Simplifier:
-    """One simplification pass over a shared tree.
+class Builder:
+    """Hash-consing smart constructors that simplify as they build.
 
-    Results are memoized per node and rebuilt nodes are hash-consed, so
-    structurally identical fragments collapse to one shared object.  This
-    keeps the output of repeated symbolic differentiation compact.
+    ``num``, ``unary`` and ``binary`` fold constants and drop 0/1 identities
+    until no rule applies, and return one shared object per distinct node.
+    ``run`` rebuilds any tree through them; ``diff``'s derivative rules
+    build through them too.  Node keys hold the ``id`` of children; each
+    entry keeps its raw node, and so those children and their ids, alive.
     """
 
     def __init__(self):
-        self.memo: dict[int, Expr] = {}
-        self.table: dict[tuple, Expr] = {}
+        self.numbers: dict[float, Number] = {}
+        self.nodes: dict[tuple, tuple[Expr, Expr]] = {}
 
     def num(self, v: float) -> Number:
-        key = ("n", float(v))
-        hit = self.table.get(key)
+        hit = self.numbers.get(v)
         if hit is None:
-            hit = Number(v)
-            self.table[key] = hit
+            hit = self.numbers[v] = Number(v)
         return hit
 
-    def node1(self, op: str, child: Expr) -> Expr:
-        key = ("1", op, id(child))
-        hit = self.table.get(key)
+    def unary(self, op: str, child: Expr) -> Expr:
+        key = (op, id(child))
+        hit = self.nodes.get(key)
         if hit is None:
-            hit = Unary(op, child)
-            self.table[key] = hit
-        return hit
+            node = Unary(op, child)
+            hit = self.nodes[key] = (self._unary_rules(node), node)
+        return hit[0]
 
-    def node2(self, op: str, left: Expr, right: Expr) -> Expr:
-        key = ("2", op, id(left), id(right))
-        hit = self.table.get(key)
+    def binary(self, op: str, left: Expr, right: Expr) -> Expr:
+        key = (op, id(left), id(right))
+        hit = self.nodes.get(key)
         if hit is None:
-            hit = Binary(op, left, right)
-            self.table[key] = hit
-        return hit
+            node = Binary(op, left, right)
+            # a rule that rebuilds this very node gets it back unchanged
+            self.nodes[key] = (node, node)
+            hit = self.nodes[key] = (self._binary_rules(node), node)
+        return hit[0]
 
     def run(self, e: Expr) -> Expr:
-        out = self.memo.get(id(e))
-        if out is not None:
+        """The tree rebuilt through the constructors: simplified and shared."""
+        memo: dict[int, Expr] = {}
+
+        def build(x: Expr) -> Expr:
+            out = memo.get(id(x))
+            if out is None:
+                if isinstance(x, Number):
+                    out = self.num(x.value)
+                elif isinstance(x, Unary):
+                    out = self.unary(x.op, build(x.child))
+                elif isinstance(x, Binary):
+                    out = self.binary(x.op, build(x.left), build(x.right))
+                elif isinstance(x, Integral):
+                    out = Integral(build(x.body))
+                else:
+                    out = x
+                memo[id(x)] = out
             return out
-        if isinstance(e, Number):
-            out = self.num(e.value)
-        elif isinstance(e, Unary):
-            out = self.local(self.node1(e.op, self.run(e.child)))
-        elif isinstance(e, Binary):
-            out = self.local(self.node2(e.op, self.run(e.left), self.run(e.right)))
-        elif isinstance(e, Integral):
-            out = Integral(self.run(e.body))
-        else:
-            out = e
-        self.memo[id(e)] = out
-        return out
 
-    def local(self, e: Expr) -> Expr:
-        while True:
-            out = self.step(e)
-            if out is e:
-                return e
-            e = out
+        return build(e)
 
-    def step(self, e: Expr) -> Expr:
-        if isinstance(e, Unary):
-            if e.op == "neg" and isinstance(e.child, Unary) and e.child.op == "neg":
-                return e.child.child
-            if isinstance(e.child, Number):
-                v = _fold(e.op, e.child.value)
-                if v is not None:
-                    return self.num(v)
-            return e
-        if not isinstance(e, Binary):
-            return e
+    def diff(self, e: Expr, name: str) -> Expr:
+        """Partial derivative by Symbol ``name`` of ``e``, a tree this builder built."""
+        memo: dict[int, Expr] = {}
+
+        def d(x: Expr) -> Expr:
+            out = memo.get(id(x))
+            if out is not None:
+                return out
+            if isinstance(x, Number):
+                out = self.num(0.0)
+            elif isinstance(x, Symbol):
+                out = self.num(1.0 if x.name == name else 0.0)
+            else:
+                if isinstance(x, Unary):
+                    derivs = (d(x.child),)
+                elif isinstance(x, Binary):
+                    derivs = (d(x.left), d(x.right))
+                else:
+                    raise UnsupportedNode(
+                        f"symbolic differentiation does not support {type(x).__name__} nodes"
+                    )
+                if all(_is_num(du, 0.0) for du in derivs):
+                    out = self.num(0.0)
+                else:
+                    out = OPS[x.op].deriv(self, x, *derivs)
+            memo[id(x)] = out
+            return out
+
+        return d(e)
+
+    def _unary_rules(self, e: Unary) -> Expr:
+        if e.op == "neg" and isinstance(e.child, Unary) and e.child.op == "neg":
+            return e.child.child
+        if isinstance(e.child, Number):
+            v = _fold(e.op, e.child.value)
+            if v is not None:
+                return self.num(v)
+        return e
+
+    def _binary_rules(self, e: Binary) -> Expr:
         a, b = e.left, e.right
         if isinstance(a, Number) and isinstance(b, Number):
             v = _fold(e.op, a.value, b.value)
@@ -775,7 +772,7 @@ class _Simplifier:
             if _is_num(b, 0.0):
                 return a
             if _is_num(a, 0.0):
-                return self.node1("neg", b)
+                return self.unary("neg", b)
         elif e.op == "mul":
             if _is_num(a, 0.0) or _is_num(b, 0.0):
                 return self.num(0.0)
@@ -783,21 +780,22 @@ class _Simplifier:
                 return b
             if _is_num(b, 1.0):
                 return a
-            # keep numeric factors left and merged
+            # keep numeric factors left and merged, unless the merge overflows
             if isinstance(b, Number):
-                return self.node2("mul", b, a)
+                return self.binary("mul", b, a)
             if (
                 isinstance(a, Number)
                 and isinstance(b, Binary)
                 and b.op == "mul"
                 and isinstance(b.left, Number)
+                and (v := _fold("mul", a.value, b.left.value)) is not None
             ):
-                return self.node2("mul", self.num(a.value * b.left.value), b.right)
+                return self.binary("mul", self.num(v), b.right)
             # a * (1/b) reads better as a quotient
             if isinstance(b, Binary) and b.op == "div" and _is_num(b.left, 1.0):
-                return self.node2("div", a, b.right)
+                return self.binary("div", a, b.right)
             if isinstance(a, Binary) and a.op == "div" and _is_num(a.left, 1.0):
-                return self.node2("div", b, a.right)
+                return self.binary("div", b, a.right)
         elif e.op == "div":
             if _is_num(b, 1.0):
                 return a
@@ -805,12 +803,12 @@ class _Simplifier:
                 return self.num(0.0)
             if (
                 isinstance(b, Number)
-                and b.value != 0
                 and isinstance(a, Binary)
                 and a.op == "mul"
                 and isinstance(a.left, Number)
+                and (v := _fold("div", a.left.value, b.value)) is not None
             ):
-                return self.node2("mul", self.num(a.left.value / b.value), a.right)
+                return self.binary("mul", self.num(v), a.right)
         elif e.op == "pow":
             if _is_num(b, 1.0):
                 return a
@@ -822,46 +820,21 @@ class _Simplifier:
                 and a.op == "pow"
                 and isinstance(b, Number)
                 and isinstance(a.right, Number)
+                and (v := _fold("mul", a.right.value, b.value)) is not None
             ):
-                return self.node2("pow", a.left, self.num(a.right.value * b.value))
+                return self.binary("pow", a.left, self.num(v))
         return e
 
 
 def simplify(e: Expr) -> Expr:
     """Constant folding and 0/1 identity elimination; idempotent."""
-    return _Simplifier().run(e)
-
-
-# ---------------------------------------------------------------------------
-# symbolic differentiation (over Symbol atoms only)
-
-
-def _d(e: Expr, name: str, memo: dict[int, Expr]) -> Expr:
-    hit = memo.get(id(e))
-    if hit is None:
-        hit = _d_node(e, name, memo)
-        memo[id(e)] = hit
-    return hit
-
-
-def _d_node(e: Expr, name: str, memo: dict[int, Expr]) -> Expr:
-    if isinstance(e, Number):
-        return _ZERO
-    if isinstance(e, Symbol):
-        return Number(1.0) if e.name == name else _ZERO
-    if isinstance(e, Unary):
-        du = _d(e.child, name, memo)
-        return _ZERO if _is_num(du, 0.0) else OPS[e.op].deriv(e, du)
-    if isinstance(e, Binary):
-        return OPS[e.op].deriv(e, _d(e.left, name, memo), _d(e.right, name, memo))
-    raise UnsupportedNode(
-        f"symbolic differentiation does not support {type(e).__name__} nodes"
-    )
+    return Builder().run(e)
 
 
 def diff_sym(e: Expr, name: str) -> Expr:
     """Exact partial derivative with respect to Symbol ``name``, simplified."""
-    return simplify(_d(e, name, {}))
+    b = Builder()
+    return b.diff(b.run(e), name)
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr | float]) -> Expr:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import (
+    DomainError,
     MaxStepsExceeded,
     OutOfSpan,
     StepUnderflow,
@@ -203,6 +204,8 @@ def rk45_solve(
     t = float(t0)
     y = np.asarray(y0, dtype=float)
     k1 = f(t, y)
+    if not np.all(np.isfinite(k1)):
+        raise DomainError(f"initial slope {k1.tolist()} at t={t!r} is not finite")
     h = _initial_step(f, t, y, k1, t_end, cfg)
     segments: list[_Segment] = []
     accepted = rejected = 0

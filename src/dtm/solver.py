@@ -26,6 +26,7 @@ unknowns but not their derivatives.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -316,8 +317,9 @@ def step(spec: ProblemSpec, coeffs: dict[str, list[float]], k: int) -> dict[str,
     """Determine Y_j(k + m_j) for every equation, in declaration order.
 
     The trial coefficient is probed at 0, 1 and 2; the residual's k-th
-    coefficient must be affine in the trial, and its slope nonzero, or
-    the step fails with NonlinearStep / SingularStep.
+    coefficient must be finite, affine in the trial, and its slope
+    nonzero, or the step fails with ResidualError / NonlinearStep /
+    SingularStep.
     """
     n = spec.order
     for eq in spec.equations:
@@ -332,6 +334,9 @@ def step(spec: ProblemSpec, coeffs: dict[str, list[float]], k: int) -> dict[str,
         r0 = residual(0.0)
         r1 = residual(1.0)
         r2 = residual(2.0)
+        if not all(map(math.isfinite, (r0, r1, r2))):
+            state[idx] = 0.0
+            raise ResidualError(f"{spec.name!r}: residual for Y({idx}) is not finite", k=k)
         scale = max(1.0, abs(r0))
         if abs(r2 - 2.0 * r1 + r0) > AFFINITY_TOL * scale:
             state[idx] = 0.0
@@ -387,7 +392,7 @@ def solve(spec: ProblemSpec, order: int | None = None) -> SolutionSeries:
             abs(lhs.coeffs[k] - rhs.coeffs[k]) for k in range(n - max_m + 1)
         )
         residuals[eq.solves_for] = worst
-        if worst > bound:
+        if not worst <= bound:
             raise ResidualError(
                 f"{spec.name!r}: residual {worst:.3e} for {eq.solves_for!r} "
                 f"exceeds {bound:.3e}; coefficients are not trustworthy"

@@ -20,12 +20,13 @@ Adomian polynomials evaluated at constant components
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import expr as ex
-from .errors import NotAutonomous, UnsupportedNode, ValidationError
-from .expr import Expr, Symbol, eval_numeric, eval_series, simplify
+from .errors import DomainError, NotAutonomous, UnsupportedNode, ValidationError
+from .expr import Expr, Symbol, eval_numeric, eval_series
 from .series import TruncatedSeries
 
 # Symbolic expression growth is unbounded in n; the closed-form route is
@@ -83,6 +84,13 @@ def _reject_nodes(f: Expr, what: str) -> None:
             )
 
 
+def _finite(values: list[float]) -> list[float]:
+    for k, v in enumerate(values):
+        if not math.isfinite(v):
+            raise DomainError(f"F({k}) = {v!r} is not finite")
+    return values
+
+
 def _validate_request(req: TransformRequest) -> None:
     _reject_nodes(req.f, "transform requests")
     if req.n < 0:
@@ -100,7 +108,8 @@ def dt_compose(req: TransformRequest) -> list[float]:
     """Transform coefficients by jet composition (first route).
 
     F(k) is the k-th coefficient of f evaluated along the seed jets; it
-    depends only on seed entries with index at most k.
+    depends only on seed entries with index at most k.  A coefficient
+    that overflows raises DomainError.
     """
     _validate_request(req)
     binding = {
@@ -108,7 +117,7 @@ def dt_compose(req: TransformRequest) -> list[float]:
         for name in req.seeds
     }
     composed = eval_series(req.f, binding, req.t0, req.n)
-    return list(composed.coeffs)
+    return _finite(list(composed.coeffs))
 
 
 def _families_for(f: Expr, unknowns: Sequence[str]) -> tuple[Family, ...]:
@@ -143,6 +152,10 @@ def dt_recurrence(f: Expr, unknowns: Sequence[str], n: int) -> SymbolicTransform
     "Y(i)" ("Yj(i)" when there are several unknowns; "W..." families for
     argument-scaled occurrences, standing for q**i Y(i)).  F(k) only
     references coefficient symbols with index at most k.
+
+    One :class:`~dtm.expr.Builder` builds every F(k) and the partials of
+    F(k-1) in it: they come out simplified, with no separate pass, and share
+    their equal subtrees.
     """
     if n < 0:
         raise ValidationError("transform order must be non-negative")
@@ -163,22 +176,18 @@ def dt_recurrence(f: Expr, unknowns: Sequence[str], n: int) -> SymbolicTransform
             return Symbol(heads[a.name])
         return a
 
-    f0 = ex.rewrite(f, atom)
-    terms = [simplify(f0)]
+    b = ex.Builder()
+    terms = [b.run(ex.rewrite(f, atom))]
     for k in range(1, n + 1):
-        update = ex.diff_sym(terms[-1], "t0")
+        update = b.diff(terms[-1], "t0")
         for fam in families:
             for i in range(k):
-                partial = ex.diff_sym(terms[-1], f"{fam.prefix}({i})")
+                partial = b.diff(terms[-1], f"{fam.prefix}({i})")
                 if partial == ex.Number(0.0):
                     continue
-                bump = ex.Binary(
-                    "mul",
-                    ex.Binary("mul", ex.Number(float(i + 1)), Symbol(f"{fam.prefix}({i + 1})")),
-                    partial,
-                )
-                update = ex.Binary("add", update, bump)
-        terms.append(simplify(ex.Binary("div", update, ex.Number(float(k)))))
+                weight = b.binary("mul", b.num(i + 1), Symbol(f"{fam.prefix}({i + 1})"))
+                update = b.binary("add", update, b.binary("mul", weight, partial))
+        terms.append(b.binary("div", update, b.num(k)))
     return SymbolicTransform(tuple(terms), families)
 
 
@@ -208,7 +217,10 @@ def dt_autonomous(
 def instantiate(
     st: SymbolicTransform, t0: float, seeds: Mapping[str, Sequence[float]]
 ) -> list[float]:
-    """Evaluate closed-form coefficients at concrete seeds."""
+    """Evaluate closed-form coefficients at concrete seeds.
+
+    A coefficient that overflows raises DomainError.
+    """
     binding: dict[str, float] = {"t0": float(t0)}
     for fam in st.families:
         values = seeds[fam.unknown]
@@ -220,18 +232,21 @@ def instantiate(
         for i in range(st.order + 1):
             binding[f"{fam.prefix}({i})"] = p * float(values[i])
             p *= fam.scale
-    return [eval_numeric(term, binding) for term in st.terms]
+    return _finite([eval_numeric(term, binding) for term in st.terms])
+
+
+def max_discrepancy(a: Sequence[float], b: Sequence[float]) -> float:
+    """The largest |a_k - b_k| / max(1, |a_k|, |b_k|) over the coefficients."""
+    worst = 0.0
+    for x, y in zip(a, b):
+        worst = max(worst, abs(x - y) / max(1.0, abs(x), abs(y)))
+    return worst
 
 
 def dt_cross_validate(req: TransformRequest) -> CrossValidation:
-    """Run both routes and report the largest per-coefficient discrepancy.
-
-    The discrepancy at k is |a_k - b_k| / max(1, |a_k|, |b_k|).
-    """
+    """Run both routes and report the largest per-coefficient discrepancy."""
     composed = dt_compose(req)
     st = dt_recurrence(req.f, list(req.seeds), req.n)
     recurred = instantiate(st, req.t0, req.seeds)
-    worst = 0.0
-    for a, b in zip(composed, recurred):
-        worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
+    worst = max_discrepancy(composed, recurred)
     return CrossValidation(tuple(composed), tuple(recurred), worst)

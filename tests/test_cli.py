@@ -48,7 +48,14 @@ def test_transform_identity_all_coefficients(capsys):
     assert out.splitlines() == [f"F({k}) = Y({k})" for k in range(4)]
 
 
-def test_transform_both_reports_discrepancy(capsys):
+def test_transform_both_reports_discrepancy(capsys, monkeypatch):
+    from dtm import transform
+
+    calls = []
+    recurrence = transform.dt_recurrence
+    monkeypatch.setattr(
+        transform, "dt_recurrence", lambda *a: calls.append(a) or recurrence(*a)
+    )
     code, out, _ = run(
         capsys,
         "transform", "--f", "sin(t*y)", "--seed", "Y(0)=1,Y(1)=-0.1",
@@ -57,6 +64,7 @@ def test_transform_both_reports_discrepancy(capsys):
     assert code == 0
     m = re.search(r"max discrepancy = (\S+)", out)
     assert m and float(m.group(1)) <= 1e-12
+    assert len(calls) == 1  # each route runs once
 
 
 def test_transform_parse_error_exit_code(capsys):
@@ -227,6 +235,10 @@ _EXP_TOWER = (
     "name: tower\nt0: 0\norder: 5\nunknown: y\n"
     "eq: diff(y, 1) = exp(exp(exp(y))) solves y order 1\ninit y: 3\npoints: 0.1\n"
 )
+_MUL_OVERFLOW = (
+    "name: overflow\nt0: 0\norder: 5\nunknown: y\n"
+    "eq: diff(y, 1) = y*y solves y order 1\ninit y: 1e200\npoints: 0.5\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -238,19 +250,24 @@ _EXP_TOWER = (
         (["transform", "--f", "exp(y)", "--seed", "Y(0)=1000", "--n", "2"], 2, "parse"),
         (["solve", "{tower}"], 3, "solve"),
         (["reference", "{tower}"], 3, "solve"),
-        (["transform", "--f", " + ".join(["y"] * 500), "--n", "2", "--method", "t2"],
+        (["transform", "--f", " + ".join(["y"] * 1000), "--n", "2", "--method", "t2"],
          2, "parse"),
         (["transform", "--f", "(" * 200 + "y" + ")" * 200, "--n", "2"], 2, "parse"),
         (["transform", "--f", "1e999 + y", "--n", "2"], 2, "parse"),
+        (["transform", "--f", "y*y", "--seed", "Y(0)=1e200", "--n", "1", "--method", "both"],
+         2, "parse"),
+        (["solve", "{overflow}"], 3, "solve"),
+        (["reference", "{overflow}"], 3, "solve"),
     ],
     ids=[
         "transform-scaled-off-zero", "problem-scaled-off-zero", "exp-overflow-both",
-        "exp-overflow-seed", "exp-tower-solve", "exp-tower-reference", "sum-of-500",
-        "200-parentheses", "literal-overflow",
+        "exp-overflow-seed", "exp-tower-solve", "exp-tower-reference", "sum-of-1000",
+        "200-parentheses", "literal-overflow", "mul-overflow-both", "mul-overflow-solve",
+        "mul-overflow-reference",
     ],
 )
 def test_failures_end_in_one_error_line(tmp_path, capsys, argv, code, category):
-    files = {"scaled": _SCALED_OFF_ZERO, "tower": _EXP_TOWER}
+    files = {"scaled": _SCALED_OFF_ZERO, "tower": _EXP_TOWER, "overflow": _MUL_OVERFLOW}
     for name, text in files.items():
         (tmp_path / f"{name}.dtm").write_text(text)
     argv = [a.format(**{n: str(tmp_path / f"{n}.dtm") for n in files}) for a in argv]

@@ -464,7 +464,7 @@ def test_op_rules_agree(name, data):
     slope = 0.0
     for i, u in enumerate("ab"[: len(heads)]):
         seeds = [Number(1.0 if j == i else 0.0) for j in range(len(op.operand_prec))]
-        slope += eval_numeric(op.deriv(sym, *seeds), at) * jets[u].coeffs[1]
+        slope += eval_numeric(op.deriv(E.Builder(), sym, *seeds), at) * jets[u].coeffs[1]
     assert got[1] == pytest.approx(slope, rel=1e-12, abs=1e-15)
 
 
@@ -513,6 +513,50 @@ def _parseable_trees():
     return st.recursive(leaves, extend, max_leaves=12)
 
 
+def _symbolic_trees():
+    """Random trees over Symbol atoms and the numbers the rules act on."""
+    leaves = st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5, 3.0]).map(Number),
+        st.sampled_from([Symbol("x"), Symbol("y")]),
+    )
+    unary = [n for n, op in E.OPS.items() if len(op.operand_prec) == 1]
+    binary = [n for n, op in E.OPS.items() if len(op.operand_prec) == 2]
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Unary, st.sampled_from(unary), children),
+            st.builds(Binary, st.sampled_from(binary), children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@pytest.mark.parametrize("name", sorted(E.OPS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_constructor_matches_simplify(name, data):
+    """A smart constructor over simplified operands builds what simplify
+    makes of the raw node."""
+    operands = [simplify(data.draw(_symbolic_trees())) for _ in E.OPS[name].operand_prec]
+    b = E.Builder()
+    if len(operands) == 1:
+        built, raw = b.unary(name, *operands), Unary(name, *operands)
+    else:
+        built, raw = b.binary(name, *operands), Binary(name, *operands)
+    assert built == simplify(raw)
+
+
+def test_builder_keeps_its_keys_alive():
+    # a * (1/u) builds a/u, which does not hold the node 1/u; once the
+    # caller drops it, a fresh node could take its id unless the table
+    # keeps it alive
+    b = E.Builder()
+    a = Symbol("a")
+    for i in range(200):
+        got = b.binary("mul", a, Binary("div", Number(1.0), Symbol(f"u{i}")))
+        assert got == Binary("div", a, Symbol(f"u{i}"))
+
+
 @settings(max_examples=300, deadline=None)
 @given(tree=_parseable_trees())
 def test_print_parse_round_trip_random(tree):
@@ -530,7 +574,8 @@ def test_parser_names_come_from_the_table():
 
 def test_fold_skips_rules_that_raise_or_overflow():
     y = Symbol("Y(0)")
-    for text in ("exp(1000)", "ln(-1)", "0^0.5", "1e200*1e200", "10^400"):
+    for text in ("exp(1000)", "ln(-1)", "0^0.5", "1e200*1e200", "1e200*2e200", "10^400",
+                 "1e200*(1e200*t)", "1e200*t/1e-200", "(t^1e200)^1e200"):
         tree = Binary("add", parse(text, []), y)
         assert simplify(tree).left == parse(text, [])
     with pytest.raises(ParseError, match="does not fit a float"):

@@ -103,3 +103,22 @@ def test_csv_format_and_determinism(tmp_path, runs):
 def test_format_sci_ten_significant_digits():
     assert format_sci(1.6152e-3) == "1.615200000e-03"
     assert format_sci(0.0) == "0.000000000e+00"
+
+
+def test_one_solve_serves_every_order(monkeypatch):
+    from dtm import solver
+    from dtm.tables import ORDERS
+
+    spec = solver.load_bundled("ex1")
+    per_order = {}
+    for order in ORDERS:
+        sol = solver.solve(spec, order=order)
+        for t, _, _, err in solver.error_table(spec.with_order(order), sol, spec.exact)["y"]:
+            per_order[(t, order)] = err
+    calls = []
+    solve = solver.solve
+    monkeypatch.setattr(solver, "solve", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    run = run_table("table2")
+    assert len(calls) == 1
+    # bitwise: lower orders are prefixes of the highest-order coefficients
+    assert {(c.t, c.order): c.computed for c in run.cells} == per_order
