@@ -30,12 +30,12 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import series
 from .errors import (
-    DivisionBySingularSeries,
     DomainError,
+    DtmError,
     ParseError,
     SeriesMismatchError,
     UnboundSymbol,
@@ -216,11 +216,13 @@ class Op:
     printed node and ``operand_prec`` is the weakest binding each operand
     prints with unparenthesised (its length is the arity).  ``value`` is
     the pointwise rule; it raises DomainError outside its domain or on
-    overflow.  ``jet(node, *series)`` builds the node's series from its
-    operands'.  ``deriv(builder, node, *derivatives)`` builds the node's
-    symbolic derivative from its operands' through the Builder's
-    constructors, so it comes out simplified; ``Builder.diff`` calls it
-    only when some operand's derivative is nonzero.  A ``const_exponent``
+    overflow.  ``jet(tape, node, *operands)`` adds the nodes of the node's
+    series to a :class:`~dtm.series.Tape`, given its operands' coefficient
+    lists, and returns the result's list.  ``deriv(builder, node,
+    *derivatives)`` builds the node's symbolic derivative from its
+    operands' through the Builder's constructors, so it comes out
+    simplified; ``Builder.diff`` calls it only when some operand's
+    derivative is nonzero.  A ``const_exponent``
     op (pow) reads its right operand from the node.
     """
 
@@ -229,7 +231,7 @@ class Op:
     prec: int
     operand_prec: tuple[int, ...]
     value: Callable[..., float]
-    jet: Callable[..., TruncatedSeries]
+    jet: Callable[..., list]
     deriv: Callable[..., "Expr"]
     const_exponent: bool = False
 
@@ -298,30 +300,32 @@ def _pow(a: float, b: float) -> float:
         raise DomainError(f"power {a!r}^{b!r} overflows") from None
 
 
-# jet rules; kernels are looked up in ``series`` at call time
+# jet rules: tape nodes built from the coefficient rules in ``series``
 
 
-def _elementary_jet(e: Unary, u: TruncatedSeries) -> TruncatedSeries:
-    return series.elementary(e.op, u)
+def _elementary_jet(tape: series.Tape, e: Unary, u) -> list:
+    return series.ELEMENTARY[e.op](tape, u)
 
 
-def _sec_jet(e: Unary, u: TruncatedSeries) -> TruncatedSeries:
-    cos_u = series.elementary("cos", u)
-    return series.div(series.constant(1.0, u.base_point, u.order), cos_u)
+def _sec_jet(tape: series.Tape, e: Unary, u) -> list:
+    return tape.node(series.div_coeff, tape.constant(1.0), series.ELEMENTARY["cos"](tape, u))
 
 
-def _pow_jet(e: Binary, base: TruncatedSeries) -> TruncatedSeries:
+def _pow_jet(tape: series.Tape, e: Binary, base) -> list:
     c = _exponent(e)
-    t0, n = base.base_point, base.order
     if c == int(c):
         k = int(c)
-        out = series.constant(1.0, t0, n)
+        one = out = tape.constant(1.0)
         for _ in range(abs(k)):
-            out = series.mul(out, base)
-        if k < 0:
-            out = series.div(series.constant(1.0, t0, n), out)
-        return out
-    return series.elementary("exp", series.scale(c, series.elementary("ln", base)))
+            out = tape.node(series.mul_coeff, out, base)
+        return tape.node(series.div_coeff, one, out) if k < 0 else out
+    ln = series.ELEMENTARY["ln"](tape, base)
+    return series.ELEMENTARY["exp"](tape, tape.node(series.scale_coeff, ln, c))
+
+
+def _rule_jet(rule) -> Callable[..., list]:
+    """One node of ``rule`` over the operands."""
+    return lambda tape, e, *operands: tape.node(rule, *operands)
 
 
 # derivative rules beyond one-liners; ``b`` is the Builder they build through
@@ -350,7 +354,7 @@ def _function(name, spelling, value, deriv, jet=_elementary_jet) -> Op:
 
 OPS: dict[str, Op] = {op.name: op for op in (
     Op("neg", "-", _PREC_NEG, (_PREC_POW,), operator.neg,
-       lambda e, u: series.negate(u), lambda b, e, du: b.unary("neg", du)),
+       _rule_jet(series.neg_coeff), lambda b, e, du: b.unary("neg", du)),
     _function("exp", "exp", _exp, lambda b, e, du: b.binary("mul", e, du)),
     _function("ln", "ln", _ln, lambda b, e, du: b.binary("div", du, e.child)),
     _function("sin", "sin", math.sin,
@@ -367,15 +371,17 @@ OPS: dict[str, Op] = {op.name: op for op in (
         "div", du, b.binary("add", b.num(1.0), b.binary("pow", e.child, b.num(2.0))))),
     _function("sqrt_pos", "sqrt", _sqrt, _d_sqrt),
     _function("sqrt_neg", "nsqrt", lambda v: -_sqrt(v), _d_sqrt),
-    Op("add", " + ", _PREC_ADD, (_PREC_ADD, _PREC_ADD), operator.add,
-       lambda e, a, b: series.add(a, b), lambda b, e, da, db: b.binary("add", da, db)),
+    # a right operand binds tighter than its parent: a + (b + c) keeps its
+    # parentheses, so the text parses back to the same tree
+    Op("add", " + ", _PREC_ADD, (_PREC_ADD, _PREC_ADD + 1), operator.add,
+       _rule_jet(series.add_coeff), lambda b, e, da, db: b.binary("add", da, db)),
     Op("sub", " - ", _PREC_ADD, (_PREC_ADD, _PREC_NEG), operator.sub,
-       lambda e, a, b: series.sub(a, b), lambda b, e, da, db: b.binary("sub", da, db)),
-    Op("mul", "*", _PREC_MUL, (_PREC_MUL, _PREC_MUL), operator.mul,
-       lambda e, a, b: series.mul(a, b), lambda b, e, da, db: b.binary(
+       _rule_jet(series.sub_coeff), lambda b, e, da, db: b.binary("sub", da, db)),
+    Op("mul", "*", _PREC_MUL, (_PREC_MUL, _PREC_MUL + 1), operator.mul,
+       _rule_jet(series.mul_coeff), lambda b, e, da, db: b.binary(
            "add", b.binary("mul", da, e.right), b.binary("mul", e.left, db))),
     Op("div", "/", _PREC_MUL, (_PREC_MUL, _PREC_POW), _div,
-       lambda e, a, b: series.div(a, b), _d_div),
+       _rule_jet(series.div_coeff), _d_div),
     Op("pow", "^", _PREC_POW, (_PREC_ATOM, _PREC_ATOM), _pow, _pow_jet, _d_pow,
        const_exponent=True),
 )}
@@ -405,11 +411,7 @@ def _prec(e: Expr) -> int:
 
 
 def to_text(e: Expr) -> str:
-    """Render a parsed tree so that parsing it back gives an identical tree.
-
-    A sum or product nested on the right prints unparenthesised, so it
-    parses back left-nested.
-    """
+    """Render a parsed tree so that parsing it back gives an identical tree."""
     if isinstance(e, Number):
         return _fmt_number(e.value)
     if isinstance(e, Time):
@@ -860,9 +862,16 @@ def flip_sqrt_branch(e: Expr) -> Expr:
 # numeric (pointwise) evaluation
 
 
-def eval_numeric(e: Expr, binding: Mapping[str, float]) -> float:
-    """IEEE evaluation with every atom bound; sec evaluates as 1/cos."""
-    return _eval_numeric(e, binding, {})
+def eval_numeric(
+    e: Expr, binding: Mapping[str, float], memo: dict[int, float] | None = None
+) -> float:
+    """IEEE evaluation with every atom bound; sec evaluates as 1/cos.
+
+    Each distinct node evaluates once.  Pass one ``memo`` to several calls
+    over the same binding, and trees that share nodes evaluate each shared
+    node once; it is keyed by ``id``, so the trees must outlive it.
+    """
+    return _eval_numeric(e, binding, {} if memo is None else memo)
 
 
 def _eval_numeric(e: Expr, binding: Mapping[str, float], memo: dict[int, float]) -> float:
@@ -918,49 +927,15 @@ def eval_series(
 ) -> TruncatedSeries:
     """Truncated series of the expression along the bound trajectory.
 
-    The time variable maps to the jet of t about t0 (also inside integral
-    bodies, where it plays the dummy variable), unknowns map to their
-    bound series (argument-rescaled when a scale is present), and every
-    operator maps to its jet rule.  Coefficient k of the result is the
-    k-th differential transform of the expression at t0, up to
+    The expression is compiled onto a :class:`~dtm.series.Tape` and run to
+    order n (see :func:`compile_series`).  Coefficient k of the result is
+    the k-th differential transform of the expression at t0, up to
     truncation.  A domain failure names the innermost failing subtree.
     """
-    if isinstance(e, Number):
-        return series.constant(e.value, t0, n)
-    if isinstance(e, Time):
-        return series.time_var(t0, n)
-    if isinstance(e, Symbol):
-        raise UnboundSymbol(
-            f"symbol {e.name!r} cannot appear in a series evaluation"
-        )
-    if isinstance(e, Unknown):
-        s = _bound_series(e.name, binding, t0, n)
-        return series.rescale_argument(s, e.scale)
-    if isinstance(e, Deriv):
-        s = _bound_series(e.name, binding, t0, n)
-        d = series.formal_derivative(s, e.order)
-        if e.scale != 1.0:
-            d = series.scale(e.scale ** e.order, series.rescale_argument(d, e.scale))
-        return d
-    if isinstance(e, Integral):
-        return series.integrate(eval_series(e.body, binding, t0, n))
-    if isinstance(e, Unary):
-        op = OPS[e.op]
-        operands = (eval_series(e.child, binding, t0, n),)
-    elif isinstance(e, Binary):
-        op = OPS[e.op]
-        operands = (eval_series(e.left, binding, t0, n),)
-        if not op.const_exponent:
-            operands += (eval_series(e.right, binding, t0, n),)
-    else:
-        raise UnsupportedNode(f"cannot evaluate {type(e).__name__} as a series")
-    try:
-        return op.jet(e, *operands)
-    except (DomainError, DivisionBySingularSeries) as err:
-        if err.node is None:
-            err.node = e
-            err.args = (f"{err} in '{to_text(e)}'",)
-        raise
+    tape = series.Tape(n, describe=to_text)
+    out = compile_series(tape, e, lambda name: _bound_series(name, binding, t0, n).coeffs, t0)
+    tape.run_to(n)
+    return TruncatedSeries(t0, tuple(out))
 
 
 def _bound_series(name, binding, t0, n) -> TruncatedSeries:
@@ -974,3 +949,82 @@ def _bound_series(name, binding, t0, n) -> TruncatedSeries:
             f"expected base {t0}, order {n}"
         )
     return s
+
+
+# errors met while compiling a node; they are raised when a run reaches it
+_DEFERRED = (DtmError, ArithmeticError, LookupError, ValueError)
+
+
+def _raise(k: int, out, exc: Exception) -> float:
+    raise exc
+
+
+def compile_series(
+    tape: series.Tape, e: Expr, read: Callable[[str], Sequence[float]], t0: float
+) -> Sequence[float]:
+    """Add the nodes of the expression's series to ``tape``; returns its coefficients.
+
+    ``read(name)`` gives the coefficients bound to an unknown.  The time
+    variable maps to the jet of t about t0 (also inside integral bodies,
+    where it plays the dummy variable), unknowns to their bound
+    coefficients (argument-rescaled when a scale is present), and every
+    operator to its jet rule's nodes.  Equal subtrees share their nodes.
+    A ``diff(y, m)`` node is tagged ``(y, m)``.  An error met while
+    compiling a node is raised when a run of the tape reaches the node,
+    where a walk of the tree would have met it.
+    """
+    memo: dict[int, Sequence[float]] = {}
+
+    def build(x: Expr) -> Sequence[float]:
+        out = memo.get(id(x))
+        if out is not None:
+            return out
+        try:
+            if isinstance(x, Number):
+                out = tape.constant(x.value)
+            elif isinstance(x, Time):
+                out = tape.node(series.time_coeff, float(t0), tape.n)
+            elif isinstance(x, Symbol):
+                raise UnboundSymbol(f"symbol {x.name!r} cannot appear in a series evaluation")
+            elif isinstance(x, (Unknown, Deriv)):
+                out = _bound_jet(tape, x, read(x.name), t0)
+            elif isinstance(x, Integral):
+                out = tape.node(series.integral_coeff, build(x.body))
+            elif isinstance(x, (Unary, Binary)):
+                op = OPS[x.op]
+                if isinstance(x, Unary):
+                    operands = (build(x.child),)
+                elif op.const_exponent:
+                    operands = (build(x.left),)
+                else:
+                    operands = (build(x.left), build(x.right))
+                tape.owner = x
+                out = op.jet(tape, x, *operands)
+            else:
+                raise UnsupportedNode(f"cannot evaluate {type(x).__name__} as a series")
+        except _DEFERRED as exc:
+            out = tape.node(_raise, exc)
+        finally:
+            tape.owner = None
+        memo[id(x)] = out
+        return out
+
+    return build(e)
+
+
+def _bound_jet(tape: series.Tape, x: Unknown | Deriv, v: Sequence[float], t0: float):
+    """An unknown's bound coefficients, argument-rescaled; a diff atom's derivative of them."""
+    q = float(x.scale)
+    if isinstance(x, Unknown):
+        if q == 1.0:
+            return v
+        series.require_zero_base(t0)
+        return tape.node(series.rescaled_coeff, v, q)
+    if x.order < 0:
+        raise ValueError("derivative order must be non-negative")
+    d = tape.node(series.derivative_coeff, v, x.order, tape.n, tag=(x.name, x.order))
+    if q == 1.0:
+        return d
+    beta = float(x.scale ** x.order)  # chain-rule factor of d^m/dt^m y(q t)
+    series.require_zero_base(t0)
+    return tape.node(series.scale_coeff, tape.node(series.rescaled_coeff, d, q), beta)

@@ -2,18 +2,21 @@
 
 A :class:`TruncatedSeries` holds the first N+1 Taylor coefficients of an
 analytic function about a base point t0; coefficient i multiplies
-``(t - t0)**i``.  All operations combine coefficient vectors directly
-(Cauchy products, quotient and elementary-function recurrences) and return
-a series with the same order and base point.  Nothing extends the order
-implicitly: callers pick N once per problem.  Values are immutable and all
-operations are pure functions.
+``(t - t0)**i``.  Every recurrence (Cauchy product, quotient, the
+elementary functions) is one coefficient rule: coefficient k of the result
+from the operands' coefficients 0..k.  A :class:`Tape` evaluates a graph
+of such rules online, one coefficient of every node per pass; the batch
+operations return whole series of the same order and base point, looping
+over the same rules.  Nothing extends the order implicitly: callers pick N
+once per problem.  Series values are immutable and the batch operations
+are pure functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
     DivisionBySingularSeries,
@@ -91,66 +94,349 @@ def constant(c: float, t0: float, n: int) -> TruncatedSeries:
 
 def time_var(t0: float, n: int) -> TruncatedSeries:
     """Series of t itself about t0: [t0, 1, 0, ..., 0].  Needs n >= 1."""
+    return TruncatedSeries(t0, [time_coeff(k, None, float(t0), n) for k in range(n + 1)])
+
+
+def require_zero_base(t0: float) -> None:
+    """Argument rescaling moves any expansion point but 0."""
+    if t0 != 0.0:
+        raise NonzeroBasePointScaling(f"cannot rescale argument of a series based at {t0}")
+
+
+# ---------------------------------------------------------------------------
+# coefficient rules
+#
+# ``rule(k, out, *operands)`` is coefficient k of a result, from its
+# operands' coefficients 0..k (a derivative reads m further) and its own
+# coefficients ``out[0..k-1]``.  The batch functions below and the online
+# Tape both evaluate through these rules, so each recurrence is written
+# once.  Domain conditions are checked at k = 0.
+
+
+def const_coeff(k: int, out, c: float) -> float:
+    return c if k == 0 else 0.0
+
+
+def time_coeff(k: int, out, t0: float, n: int) -> float:
     if n < 1:
         raise ValueError("order 0 cannot represent the time variable")
-    return TruncatedSeries(t0, (float(t0), 1.0) + (0.0,) * (n - 1))
+    return t0 if k == 0 else 1.0 if k == 1 else 0.0
+
+
+def neg_coeff(k: int, out, a) -> float:
+    return -a[k]
+
+
+def scale_coeff(k: int, out, a, beta: float) -> float:
+    return beta * a[k]
+
+
+def add_coeff(k: int, out, a, b) -> float:
+    return a[k] + b[k]
+
+
+def sub_coeff(k: int, out, a, b) -> float:
+    return a[k] - b[k]
+
+
+def integral_coeff(k: int, out, v) -> float:
+    """Running integral from the base point."""
+    return v[k - 1] / k if k else 0.0
+
+
+def derivative_coeff(k: int, out, v, m: int, n: int) -> float:
+    """(k+1)...(k+m) * v[k+m]; zero where k+m exceeds the truncation order n."""
+    if k + m > n:
+        return 0.0
+    fac = 1.0
+    for r in range(1, m + 1):
+        fac *= k + r
+    return fac * v[k + m]
+
+
+def rescaled_coeff(k: int, out, v, q: float) -> float:
+    """q**k * v[k], the power taken by repeated products."""
+    p = 1.0
+    for _ in range(k):
+        p *= q
+    return p * v[k]
+
+
+def mul_coeff(k: int, out, a, b) -> float:
+    """Cauchy product; zero coefficients of ``a`` are skipped."""
+    acc = 0.0
+    for ai, bj in zip(a[: k + 1], b[k::-1]):
+        if ai != 0.0:
+            acc += ai * bj
+    return acc
+
+
+def div_coeff(k: int, q, a, b) -> float:
+    """Quotient q with mul(q, b) == a."""
+    b0 = b[0]
+    if k == 0 and abs(b0) <= SINGULAR_TOL:
+        raise DivisionBySingularSeries(
+            f"denominator constant term {b0!r} is numerically zero"
+        )
+    acc = a[k]
+    for qj, bj in zip(q[:k], b[k:0:-1]):
+        acc -= qj * bj
+    return acc / b0
+
+
+def _weighted(k: int, u, x) -> float:
+    """The sum of j * u[j] * x[k-j] over j = 1..k, the chain rule's convolution."""
+    acc = 0.0
+    for j, uj, xj in zip(range(1, k + 1), u[1 : k + 1], x[k - 1 :: -1]):
+        acc += j * uj * xj
+    return acc
+
+
+def exp_coeff(k: int, e, u) -> float:
+    if k == 0:
+        try:
+            return math.exp(u[0])
+        except OverflowError:
+            raise DomainError(f"exp overflows at constant term {u[0]!r}") from None
+    return _weighted(k, u, e) / k
+
+
+def ln_coeff(k: int, w, u) -> float:
+    u0 = u[0]
+    if k == 0:
+        if u0 <= 0.0:
+            raise DomainError(f"ln requires a positive constant term, got {u0!r}")
+        return math.log(u0)
+    acc = k * u[k]
+    for j, wj, uj in zip(range(1, k), w[1:k], u[k - 1 : 0 : -1]):
+        acc -= j * wj * uj
+    return acc / (k * u0)
+
+
+def sqrt_coeff(k: int, s, u) -> float:
+    if k == 0:
+        u0 = u[0]
+        if u0 <= 0.0:
+            raise DomainError(f"sqrt requires a positive constant term, got {u0!r}")
+        return math.sqrt(u0)
+    acc = u[k]
+    for si, sj in zip(s[1:k], s[k - 1 : 0 : -1]):
+        acc -= si * sj
+    return acc / (2.0 * s[0])
+
+
+def sin_coeff(k: int, s, u, c) -> float:
+    """sin(u), coupled to the coefficients ``c`` of cos(u)."""
+    return math.sin(u[0]) if k == 0 else _weighted(k, u, c) / k
+
+
+def cos_coeff(k: int, c, u, s) -> float:
+    """cos(u), coupled to the coefficients ``s`` of sin(u)."""
+    return math.cos(u[0]) if k == 0 else -_weighted(k, u, s) / k
+
+
+def tan_coeff(k: int, out, s, c, u) -> float:
+    """sin(u) / cos(u), refused where cos of the constant term vanishes."""
+    if k == 0 and abs(c[0]) <= SINGULAR_TOL:
+        raise DomainError(
+            f"tan requires cos of the constant term to be nonzero, got cos({u[0]!r}) = {c[0]!r}"
+        )
+    return div_coeff(k, out, s, c)
+
+
+def asin_coeff(k: int, out, integrand, u) -> float:
+    """asin(u(t0)) plus the integral of u' / sqrt(1 - u^2)."""
+    if k:
+        return integral_coeff(k, out, integrand)
+    if abs(u[0]) >= 1.0:
+        raise DomainError(
+            f"asin requires |constant term| < 1, got {u[0]!r} (derivative singular at 1)"
+        )
+    return math.asin(u[0])
+
+
+def atan_coeff(k: int, out, integrand, u) -> float:
+    """atan(u(t0)) plus the integral of u' / (1 + u^2)."""
+    return integral_coeff(k, out, integrand) if k else math.atan(u[0])
+
+
+# ---------------------------------------------------------------------------
+# the online evaluator
+
+
+class _Node(NamedTuple):
+    rule: Callable[..., float]
+    coeffs: list
+    args: tuple
+    lag: int
+    owner: object
+    tag: object
+
+
+def _arg_key(a) -> object:
+    if isinstance(a, float):
+        return ("f", a.hex())  # 0.0 and -0.0 stay apart
+    if isinstance(a, (int, str)):
+        return ("v", a)
+    return ("id", id(a))  # coefficient lists, kept alive by the tape
+
+
+class Tape:
+    """Jet nodes in dependency order, extended one coefficient at a time.
+
+    ``node(rule, *args)`` adds a node whose coefficient k is
+    ``rule(k, coeffs, *args)`` and returns its coefficient list; sequence
+    arguments are the lists of earlier nodes or bound coefficients.  A node
+    built twice with the same rule, lag and arguments is built once.  A
+    node with ``lag`` 1 takes coefficient k - 1 on pass k, so it may read
+    one coefficient ahead of its operands.  ``run(k)`` takes coefficient k
+    of every node, or of the given nodes, which replaces the one taken
+    before; a pass costs O(k) per node.  A DomainError or
+    DivisionBySingularSeries is annotated with the failing node's
+    ``owner``, the object ``owner`` held when the node was added, as
+    rendered by ``describe``.
+    """
+
+    def __init__(self, n: int, describe: Callable[[object], str] = repr):
+        self.n = n
+        self.describe = describe
+        self.nodes: list[_Node] = []
+        self.index: dict[tuple, object] = {}
+        self.owner = None
+
+    def append(self, coeffs: list, rule, *args, lag: int = 0, tag=None) -> list:
+        self.nodes.append(_Node(rule, coeffs, args, lag, self.owner, tag))
+        return coeffs
+
+    def node(self, rule, *args, lag: int = 0, tag=None) -> list:
+        key = (rule, lag) + tuple(map(_arg_key, args))
+        coeffs = self.index.get(key)
+        if coeffs is None:
+            coeffs = self.index[key] = self.append([], rule, *args, lag=lag, tag=tag)
+        return coeffs
+
+    def constant(self, c: float) -> list:
+        return self.node(const_coeff, float(c))
+
+    def downstream(self, tag) -> list[_Node]:
+        """The nodes tagged ``tag`` and every node that reads one, in order."""
+        hit: set[int] = set()
+        out = []
+        for node in self.nodes:
+            if node.tag == tag or any(id(a) in hit for a in node.args):
+                hit.add(id(node.coeffs))
+                out.append(node)
+        return out
+
+    def run(self, k: int, nodes=None) -> None:
+        owner = None
+        try:
+            for rule, c, args, lag, owner, _ in self.nodes if nodes is None else nodes:
+                i = k - lag
+                if i >= 0:
+                    v = rule(i, c, *args)
+                    if i < len(c):
+                        c[i] = v
+                    else:
+                        c.append(v)
+        except (DomainError, DivisionBySingularSeries) as err:
+            if err.node is None and owner is not None:
+                err.node = owner
+                err.args = (f"{err} in '{self.describe(owner)}'",)
+            raise
+
+    def run_to(self, n: int) -> None:
+        for k in range(n + 1):
+            self.run(k)
+
+
+def _sin_cos(tape: Tape, u) -> tuple[list, list]:
+    key = (sin_coeff, id(u))
+    pair = tape.index.get(key)
+    if pair is None:
+        s, c = [], []
+        tape.append(s, sin_coeff, u, c)
+        tape.append(c, cos_coeff, u, s)
+        pair = tape.index[key] = (s, c)
+    return pair
+
+
+def _tan(tape: Tape, u) -> list:
+    s, c = _sin_cos(tape, u)
+    return tape.node(tan_coeff, s, c, u)
+
+
+def _asin(tape: Tape, u) -> list:
+    radicand = tape.node(sub_coeff, tape.constant(1.0), tape.node(mul_coeff, u, u))
+    du = tape.node(derivative_coeff, u, 1, tape.n, lag=1)
+    root = tape.node(sqrt_coeff, radicand, lag=1)
+    return tape.node(asin_coeff, tape.node(div_coeff, du, root, lag=1), u)
+
+
+def _atan(tape: Tape, u) -> list:
+    den = tape.node(add_coeff, tape.constant(1.0), tape.node(mul_coeff, u, u))
+    du = tape.node(derivative_coeff, u, 1, tape.n, lag=1)
+    return tape.node(atan_coeff, tape.node(div_coeff, du, den, lag=1), u)
+
+
+# kind -> recipe(tape, u) adding the nodes of kind(u); returns its coefficients
+ELEMENTARY: dict[str, Callable[[Tape, list], list]] = {
+    "exp": lambda tape, u: tape.node(exp_coeff, u),
+    "ln": lambda tape, u: tape.node(ln_coeff, u),
+    "sin": lambda tape, u: _sin_cos(tape, u)[0],
+    "cos": lambda tape, u: _sin_cos(tape, u)[1],
+    "tan": _tan,
+    "asin": _asin,
+    "atan": _atan,
+    "sqrt_pos": lambda tape, u: tape.node(sqrt_coeff, u),
+    "sqrt_neg": lambda tape, u: tape.node(neg_coeff, tape.node(sqrt_coeff, u)),
+}
+
+
+# ---------------------------------------------------------------------------
+# batch operations: whole series at once, through the same rules
+
+
+def _batch(rule, like: TruncatedSeries, *operands) -> TruncatedSeries:
+    out: list[float] = []
+    for k in range(like.order + 1):
+        out.append(rule(k, out, *operands))
+    return TruncatedSeries(like.base_point, tuple(out))
 
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     _check_pair(a, b)
-    return TruncatedSeries(a.base_point, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    return _batch(add_coeff, a, a.coeffs, b.coeffs)
 
 
 def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     _check_pair(a, b)
-    return TruncatedSeries(a.base_point, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+    return _batch(sub_coeff, a, a.coeffs, b.coeffs)
 
 
 def negate(a: TruncatedSeries) -> TruncatedSeries:
-    return TruncatedSeries(a.base_point, tuple(-x for x in a.coeffs))
+    return _batch(neg_coeff, a, a.coeffs)
 
 
 def scale(beta: float, a: TruncatedSeries) -> TruncatedSeries:
-    beta = float(beta)
-    return TruncatedSeries(a.base_point, tuple(beta * x for x in a.coeffs))
+    return _batch(scale_coeff, a, a.coeffs, float(beta))
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the common order."""
     _check_pair(a, b)
-    n = a.order
-    out = [0.0] * (n + 1)
-    for i in range(n + 1):
-        ai = a.coeffs[i]
-        if ai == 0.0:
-            continue
-        for j in range(n + 1 - i):
-            out[i + j] += ai * b.coeffs[j]
-    return TruncatedSeries(a.base_point, tuple(out))
+    return _batch(mul_coeff, a, a.coeffs, b.coeffs)
 
 
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Quotient q with mul(q, b) == a up to the truncation order."""
     _check_pair(a, b)
-    b0 = b.coeffs[0]
-    if abs(b0) <= SINGULAR_TOL:
-        raise DivisionBySingularSeries(
-            f"denominator constant term {b0!r} is numerically zero"
-        )
-    n = a.order
-    q = [0.0] * (n + 1)
-    for k in range(n + 1):
-        acc = a.coeffs[k]
-        for j in range(k):
-            acc -= q[j] * b.coeffs[k - j]
-        q[k] = acc / b0
-    return TruncatedSeries(a.base_point, tuple(q))
+    return _batch(div_coeff, a, a.coeffs, b.coeffs)
 
 
 def integrate(v: TruncatedSeries) -> TruncatedSeries:
     """Running integral from the base point; top input coefficient drops."""
-    out = (0.0,) + tuple(v.coeffs[i - 1] / i for i in range(1, v.order + 1))
-    return TruncatedSeries(v.base_point, out)
+    return _batch(integral_coeff, v, v.coeffs)
 
 
 def formal_derivative(v: TruncatedSeries, m: int = 1) -> TruncatedSeries:
@@ -162,14 +448,7 @@ def formal_derivative(v: TruncatedSeries, m: int = 1) -> TruncatedSeries:
     """
     if m < 0:
         raise ValueError("derivative order must be non-negative")
-    n = v.order
-    out = [0.0] * (n + 1)
-    for i in range(n + 1 - m):
-        fac = 1.0
-        for r in range(1, m + 1):
-            fac *= i + r
-        out[i] = fac * v.coeffs[i + m]
-    return TruncatedSeries(v.base_point, tuple(out))
+    return _batch(derivative_coeff, v, v.coeffs, m, v.order)
 
 
 def rescale_argument(v: TruncatedSeries, q: float) -> TruncatedSeries:
@@ -181,128 +460,13 @@ def rescale_argument(v: TruncatedSeries, q: float) -> TruncatedSeries:
     q = float(q)
     if q == 1.0:
         return v
-    if v.base_point != 0.0:
-        raise NonzeroBasePointScaling(
-            f"cannot rescale argument of a series based at {v.base_point}"
-        )
-    p = 1.0
-    out = []
-    for c in v.coeffs:
-        out.append(p * c)
-        p *= q
-    return TruncatedSeries(0.0, tuple(out))
+    require_zero_base(v.base_point)
+    return _batch(rescaled_coeff, v, v.coeffs, q)
 
 
 def sin_cos(u: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """sin(u) and cos(u) computed as a coupled pair."""
-    n = u.order
-    s = [0.0] * (n + 1)
-    c = [0.0] * (n + 1)
-    s[0] = math.sin(u.coeffs[0])
-    c[0] = math.cos(u.coeffs[0])
-    for k in range(1, n + 1):
-        sacc = 0.0
-        cacc = 0.0
-        for j in range(1, k + 1):
-            ju = j * u.coeffs[j]
-            sacc += ju * c[k - j]
-            cacc += ju * s[k - j]
-        s[k] = sacc / k
-        c[k] = -cacc / k
-    t0 = u.base_point
-    return TruncatedSeries(t0, tuple(s)), TruncatedSeries(t0, tuple(c))
-
-
-def _exp(u: TruncatedSeries) -> TruncatedSeries:
-    n = u.order
-    e = [0.0] * (n + 1)
-    try:
-        e[0] = math.exp(u.coeffs[0])
-    except OverflowError:
-        raise DomainError(f"exp overflows at constant term {u.coeffs[0]!r}") from None
-    for k in range(1, n + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += j * u.coeffs[j] * e[k - j]
-        e[k] = acc / k
-    return TruncatedSeries(u.base_point, tuple(e))
-
-
-def _ln(u: TruncatedSeries) -> TruncatedSeries:
-    u0 = u.coeffs[0]
-    if u0 <= 0.0:
-        raise DomainError(f"ln requires a positive constant term, got {u0!r}")
-    n = u.order
-    w = [0.0] * (n + 1)
-    w[0] = math.log(u0)
-    for k in range(1, n + 1):
-        acc = k * u.coeffs[k]
-        for j in range(1, k):
-            acc -= j * w[j] * u.coeffs[k - j]
-        w[k] = acc / (k * u0)
-    return TruncatedSeries(u.base_point, tuple(w))
-
-
-def _sqrt(u: TruncatedSeries) -> TruncatedSeries:
-    u0 = u.coeffs[0]
-    if u0 <= 0.0:
-        raise DomainError(f"sqrt requires a positive constant term, got {u0!r}")
-    n = u.order
-    s = [0.0] * (n + 1)
-    s[0] = math.sqrt(u0)
-    for k in range(1, n + 1):
-        acc = u.coeffs[k]
-        for j in range(1, k):
-            acc -= s[j] * s[k - j]
-        s[k] = acc / (2.0 * s[0])
-    return TruncatedSeries(u.base_point, tuple(s))
-
-
-def _tan(u: TruncatedSeries) -> TruncatedSeries:
-    c0 = math.cos(u.coeffs[0])
-    if abs(c0) <= SINGULAR_TOL:
-        raise DomainError(
-            f"tan requires cos of the constant term to be nonzero, got cos({u.coeffs[0]!r}) = {c0!r}"
-        )
-    s, c = sin_cos(u)
-    return div(s, c)
-
-
-def _with_constant(v: TruncatedSeries, c0: float) -> TruncatedSeries:
-    return TruncatedSeries(v.base_point, (c0,) + v.coeffs[1:])
-
-
-def _asin(u: TruncatedSeries) -> TruncatedSeries:
-    u0 = u.coeffs[0]
-    if abs(u0) >= 1.0:
-        raise DomainError(
-            f"asin requires |constant term| < 1, got {u0!r} (derivative singular at 1)"
-        )
-    n = u.order
-    one = constant(1.0, u.base_point, n)
-    radicand = sub(one, mul(u, u))
-    integrand = div(formal_derivative(u), _sqrt(radicand))
-    return _with_constant(integrate(integrand), math.asin(u0))
-
-
-def _atan(u: TruncatedSeries) -> TruncatedSeries:
-    n = u.order
-    one = constant(1.0, u.base_point, n)
-    integrand = div(formal_derivative(u), add(one, mul(u, u)))
-    return _with_constant(integrate(integrand), math.atan(u.coeffs[0]))
-
-
-_KERNELS = {
-    "exp": _exp,
-    "ln": _ln,
-    "sin": lambda u: sin_cos(u)[0],
-    "cos": lambda u: sin_cos(u)[1],
-    "tan": _tan,
-    "asin": _asin,
-    "atan": _atan,
-    "sqrt_pos": _sqrt,
-    "sqrt_neg": lambda u: negate(_sqrt(u)),  # the negative branch -sqrt
-}
+    """sin(u) and cos(u), each computed with the other as a coupled pair."""
+    return elementary("sin", u), elementary("cos", u)
 
 
 def elementary(kind: str, u: TruncatedSeries) -> TruncatedSeries:
@@ -314,10 +478,13 @@ def elementary(kind: str, u: TruncatedSeries) -> TruncatedSeries:
     the violated condition.
     """
     try:
-        kernel = _KERNELS[kind]
+        recipe = ELEMENTARY[kind]
     except KeyError:
         raise ValueError(f"unknown elementary kind {kind!r}") from None
-    return kernel(u)
+    tape = Tape(u.order)
+    out = recipe(tape, u.coeffs)
+    tape.run_to(u.order)
+    return TruncatedSeries(u.base_point, tuple(out))
 
 
 def from_coeffs(t0: float, coeffs: Iterable[float]) -> TruncatedSeries:

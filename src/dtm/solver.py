@@ -1,12 +1,21 @@
 """Coefficient-recurrence driver for series solutions of problem files.
 
 A problem couples equations ``lhs = rhs`` over declared unknowns, each
-solved for one unknown's coefficients.  Both sides are evaluated as
-truncated series along the current coefficient state; at step k the one
-undetermined coefficient Y_j(k + m_j) is found by probing the residual at
-trial values 0 and 1 and solving the affine relation (a probe at 2 guards
-the affinity assumption).  This one mechanism covers variable-coefficient
-left sides, proportional delays and integral terms alike.
+solved for one unknown's coefficients.  At step k the one undetermined
+coefficient Y_j(k + m_j) is found by probing coefficient k of the residual
+at trial values 0 and 1 and solving the affine relation (a probe at 2
+guards the affinity assumption).  This one mechanism covers
+variable-coefficient left sides, proportional delays and integral terms
+alike.
+
+Each equation is compiled once per solve onto a :class:`~dtm.series.Tape`
+over the coefficient state.  A step takes coefficient k of every node once
+and re-runs only the nodes downstream of the solved ``diff`` atom for the
+other probes, so a step costs O(k) per node and a solve to order N costs
+O(N^2), where evaluating every series afresh for each probe cost O(N^3).
+A ``diff(u, d)`` atom may only read coefficients that are final when its
+equation is solved: d below the order m of u's equation, or d = m when
+u's equation is this one or declared before it.
 
 Problem-file format (line oriented, '#' starts a comment)::
 
@@ -34,6 +43,8 @@ from typing import Mapping, Sequence
 
 from . import expr as ex
 from .errors import (
+    DivisionBySingularSeries,
+    DomainError,
     NonlinearStep,
     ParseError,
     ResidualError,
@@ -42,7 +53,7 @@ from .errors import (
 )
 from .expr import Expr, eval_numeric, eval_series
 from .reference import RefSolution, sample
-from .series import TruncatedSeries
+from .series import Tape, TruncatedSeries
 
 AFFINITY_TOL = 1e-9
 SINGULAR_SLOPE_TOL = 1e-12
@@ -178,6 +189,10 @@ def load_problem(text: str) -> ProblemSpec:
 
     equations = tuple(_parse_equation(lineno, text, unknowns, t0) for lineno, text in raw_eqs)
     _validate(name, order, unknowns, equations, raw_init)
+    early = _lookahead(equations)
+    if early is not None:
+        i, message = early
+        raise ValidationError(f"line {raw_eqs[i][0]}: {message}")
 
     init = {u: raw_init[u] for u in unknowns}
     exact = {u: ex.parse(text, unknowns) for u, text in raw_exact.items()}
@@ -273,6 +288,26 @@ def _validate(name, order, unknowns, equations, init) -> None:
         raise ValidationError(f"{name!r}: order {order} is below the top derivative {max_m}")
 
 
+def _lookahead(equations: Sequence[Equation]) -> tuple[int, str] | None:
+    """The first diff atom that reads a coefficient before it is final.
+
+    Returns the index of the equation that holds it and a message.
+    """
+    solved_by = {eq.solves_for: (j, eq.order) for j, eq in enumerate(equations)}
+    for i, eq in enumerate(equations):
+        for side in (eq.lhs, eq.rhs):
+            for node in ex.walk(side):
+                if not isinstance(node, ex.Deriv):
+                    continue
+                j, m = solved_by[node.name]
+                if node.order > m or (node.order == m and j > i):
+                    return i, (
+                        f"{ex.to_text(node)} reads a coefficient of {node.name!r} "
+                        "before its equation determines it"
+                    )
+    return None
+
+
 def load_problem_file(path) -> ProblemSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return load_problem(fh.read())
@@ -313,27 +348,62 @@ def equation_series(
     return lhs, rhs
 
 
-def step(spec: ProblemSpec, coeffs: dict[str, list[float]], k: int) -> dict[str, list[float]]:
+class EquationTape:
+    """One equation compiled once: both sides on one tape over the state.
+
+    The tape's unknowns are the coefficient lists of ``coeffs`` themselves,
+    so it sees each trial value as it is set.  ``trial`` holds the nodes
+    downstream of the solved ``diff`` atom.
+    """
+
+    def __init__(self, eq: Equation, coeffs: dict[str, list[float]], t0: float, n: int):
+        self.eq = eq
+        self.state = coeffs[eq.solves_for]
+        self.tape = Tape(n, describe=ex.to_text)
+        self.lhs = ex.compile_series(self.tape, eq.lhs, coeffs.__getitem__, t0)
+        self.rhs = ex.compile_series(self.tape, eq.rhs, coeffs.__getitem__, t0)
+        self.trial = self.tape.downstream((eq.solves_for, eq.order))
+        self.deferred: Exception | None = None
+
+    def residual(self, k: int, nodes=None) -> float:
+        """Coefficient k of lhs - rhs, after running the given nodes (all by default)."""
+        self.tape.run(k, nodes)
+        return self.lhs[k] - self.rhs[k]
+
+
+def compile_equations(spec: ProblemSpec, coeffs: dict[str, list[float]]) -> list[EquationTape]:
+    """One tape per equation, in declaration order, over the zero-padded state."""
+    early = _lookahead(spec.equations)
+    if early is not None:
+        raise ValidationError(f"{spec.name!r}: {early[1]}")
+    return [EquationTape(eq, coeffs, spec.t0, spec.order) for eq in spec.equations]
+
+
+def step(spec: ProblemSpec, tapes: Sequence[EquationTape], k: int) -> None:
     """Determine Y_j(k + m_j) for every equation, in declaration order.
 
-    The trial coefficient is probed at 0, 1 and 2; the residual's k-th
-    coefficient must be finite, affine in the trial, and its slope
-    nonzero, or the step fails with ResidualError / NonlinearStep /
-    SingularStep.
+    ``tapes`` come from :func:`compile_equations` and hold coefficients
+    0..k-1 of every node.  The probe at 0 takes coefficient k of every
+    node; the probes at 1 and 2, and the chosen value, re-run only the
+    nodes downstream of the trial coefficient, so a step costs O(k) per
+    node.  The residual's k-th coefficient must be finite, affine in the
+    trial, and its slope nonzero, or the step fails with ResidualError /
+    NonlinearStep / SingularStep.
     """
-    n = spec.order
-    for eq in spec.equations:
+    for tape in tapes:
+        eq = tape.eq
         idx = k + eq.order
-        state = coeffs[eq.solves_for]
+        state = tape.state
+        if tape.deferred is not None:
+            raise tape.deferred
 
-        def residual(c: float) -> float:
+        def residual(c: float, nodes=None) -> float:
             state[idx] = c
-            lhs, rhs = equation_series(eq, coeffs, spec.t0, n)
-            return lhs.coeffs[k] - rhs.coeffs[k]
+            return tape.residual(k, nodes)
 
         r0 = residual(0.0)
-        r1 = residual(1.0)
-        r2 = residual(2.0)
+        r1 = residual(1.0, tape.trial)
+        r2 = residual(2.0, tape.trial)
         if not all(map(math.isfinite, (r0, r1, r2))):
             state[idx] = 0.0
             raise ResidualError(f"{spec.name!r}: residual for Y({idx}) is not finite", k=k)
@@ -353,15 +423,21 @@ def step(spec: ProblemSpec, coeffs: dict[str, list[float]], k: int) -> dict[str,
                 f"determine Y({idx})",
                 k=k,
             )
-        state[idx] = -r0 / slope
-    return coeffs
+        try:
+            residual(-r0 / slope, tape.trial)
+        except (DomainError, DivisionBySingularSeries, ValueError) as exc:
+            # the chosen value is outside a node's domain; a fresh evaluation
+            # meets this at this equation's next step, so raise it there
+            tape.deferred = exc
 
 
 def solve(spec: ProblemSpec, order: int | None = None) -> SolutionSeries:
     """Run the recurrence for k = 0..N-max(m) and check residuals.
 
     The initial coefficients are kept verbatim; every higher coefficient
-    comes out of the per-step probe solve.  A residual above
+    comes out of the per-step probe solve, on tapes compiled once (see
+    :func:`step`), so the solve costs O(N^2).  The final check evaluates
+    both sides afresh over the final state: a residual above
     RESIDUAL_TOL * (1 + max|Y|) aborts with ResidualError instead of
     returning untrustworthy coefficients.
     """
@@ -380,8 +456,9 @@ def solve(spec: ProblemSpec, order: int | None = None) -> SolutionSeries:
             values[i] = v
         coeffs[u] = values
 
+    tapes = compile_equations(spec, coeffs)
     for k in range(n - max_m + 1):
-        step(spec, coeffs, k)
+        step(spec, tapes, k)
 
     top = max(abs(c) for values in coeffs.values() for c in values)
     bound = RESIDUAL_TOL * (1.0 + top)

@@ -219,7 +219,9 @@ def instantiate(
 ) -> list[float]:
     """Evaluate closed-form coefficients at concrete seeds.
 
-    A coefficient that overflows raises DomainError.
+    The terms share subtrees (one Builder built them all), so they are
+    evaluated with one memo: each shared node once.  A coefficient that
+    overflows raises DomainError.
     """
     binding: dict[str, float] = {"t0": float(t0)}
     for fam in st.families:
@@ -232,7 +234,8 @@ def instantiate(
         for i in range(st.order + 1):
             binding[f"{fam.prefix}({i})"] = p * float(values[i])
             p *= fam.scale
-    return _finite([eval_numeric(term, binding) for term in st.terms])
+    memo: dict[int, float] = {}
+    return _finite([eval_numeric(term, binding, memo) for term in st.terms])
 
 
 def max_discrepancy(a: Sequence[float], b: Sequence[float]) -> float:

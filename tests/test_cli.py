@@ -239,6 +239,10 @@ _MUL_OVERFLOW = (
     "name: overflow\nt0: 0\norder: 5\nunknown: y\n"
     "eq: diff(y, 1) = y*y solves y order 1\ninit y: 1e200\npoints: 0.5\n"
 )
+_LOOKAHEAD = (
+    "name: lookahead\nt0: 0\norder: 5\nunknown: y\n"
+    "eq: diff(y, 1) = y*diff(y, 2) + 1 solves y order 1\ninit y: 1\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -258,16 +262,20 @@ _MUL_OVERFLOW = (
          2, "parse"),
         (["solve", "{overflow}"], 3, "solve"),
         (["reference", "{overflow}"], 3, "solve"),
+        (["solve", "{lookahead}"], 2, "parse"),
     ],
     ids=[
         "transform-scaled-off-zero", "problem-scaled-off-zero", "exp-overflow-both",
         "exp-overflow-seed", "exp-tower-solve", "exp-tower-reference", "sum-of-1000",
         "200-parentheses", "literal-overflow", "mul-overflow-both", "mul-overflow-solve",
-        "mul-overflow-reference",
+        "mul-overflow-reference", "diff-reads-ahead",
     ],
 )
 def test_failures_end_in_one_error_line(tmp_path, capsys, argv, code, category):
-    files = {"scaled": _SCALED_OFF_ZERO, "tower": _EXP_TOWER, "overflow": _MUL_OVERFLOW}
+    files = {
+        "scaled": _SCALED_OFF_ZERO, "tower": _EXP_TOWER, "overflow": _MUL_OVERFLOW,
+        "lookahead": _LOOKAHEAD,
+    }
     for name, text in files.items():
         (tmp_path / f"{name}.dtm").write_text(text)
     argv = [a.format(**{n: str(tmp_path / f"{n}.dtm") for n in files}) for a in argv]

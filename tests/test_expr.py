@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtm import expr as E
 from dtm import series
 from dtm.errors import (
+    DivisionBySingularSeries,
     DomainError,
+    DtmError,
     ParseError,
     UnboundSymbol,
     UnsupportedNode,
@@ -471,9 +473,8 @@ def test_op_rules_agree(name, data):
 def _parseable_trees():
     """Random trees in the parser's image, over every operator spelling.
 
-    The grammar is left-associative, so a binary node never holds an
-    unparenthesised right operand of its own precedence, and a negated
-    bare number parses as a negative literal.
+    Right-nested sums and products are included: the printer keeps their
+    parentheses.  A negated bare number parses as a negative literal.
     """
     leaves = st.one_of(
         st.floats(-100.0, 100.0).map(Number),
@@ -488,23 +489,12 @@ def _parseable_trees():
     ]
     powers = [n for n, op in E.OPS.items() if op.const_exponent]
 
-    def ambiguous(e):
-        # a + (b - c) prints as a + b - c, which parses as (a + b) - c
-        group = {"add": "sum", "sub": "sum", "mul": "product", "div": "product"}
-        return (
-            e.op in ("add", "mul")
-            and isinstance(e.right, Binary)
-            and group.get(e.right.op) == group[e.op]
-        )
-
     def extend(children):
         return st.one_of(
             st.builds(Unary, st.sampled_from(unary), children).filter(
                 lambda e: not (e.op == "neg" and isinstance(e.child, Number))
             ),
-            st.builds(Binary, st.sampled_from(infix), children, children).filter(
-                lambda e: not ambiguous(e)
-            ),
+            st.builds(Binary, st.sampled_from(infix), children, children),
             st.builds(Binary, st.sampled_from(powers), children,
                       st.floats(-4.0, 4.0).map(Number)),
             st.builds(Integral, children),
@@ -559,6 +549,8 @@ def test_builder_keeps_its_keys_alive():
 
 @settings(max_examples=300, deadline=None)
 @given(tree=_parseable_trees())
+@example(tree=Binary("add", Time(), Binary("sub", Unknown("y"), Number(1.0))))
+@example(tree=Binary("mul", Time(), Binary("div", Unknown("y"), Number(2.0))))
 def test_print_parse_round_trip_random(tree):
     assert parse(to_text(tree), ["y", "z"]) == tree
 
@@ -589,3 +581,159 @@ def test_overflow_is_a_domain_error():
         eval_numeric(parse("t^3", []), {"t": 1e200})
     with pytest.raises(DomainError, match="in 'exp\\(y\\)'"):
         eval_series(parse("exp(y)", ["y"]), {"y": jet([1000.0, 1.0])}, 0.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the tape against the batch kernels
+
+
+def _one(u):
+    return series.constant(1.0, u.base_point, u.order)
+
+
+def _with_constant(v, c0):
+    return series.from_coeffs(v.base_point, (c0,) + v.coeffs[1:])
+
+
+def _batch_tan(e, u):
+    if abs(math.cos(u.coeffs[0])) <= series.SINGULAR_TOL:
+        raise DomainError(
+            f"tan requires cos of the constant term to be nonzero, "
+            f"got cos({u.coeffs[0]!r}) = {math.cos(u.coeffs[0])!r}"
+        )
+    return series.div(*series.sin_cos(u))
+
+
+def _batch_asin(e, u):
+    if abs(u.coeffs[0]) >= 1.0:
+        raise DomainError(
+            f"asin requires |constant term| < 1, got {u.coeffs[0]!r} (derivative singular at 1)"
+        )
+    radicand = series.sub(_one(u), series.mul(u, u))
+    integrand = series.div(series.formal_derivative(u), series.elementary("sqrt_pos", radicand))
+    return _with_constant(series.integrate(integrand), math.asin(u.coeffs[0]))
+
+
+def _batch_atan(e, u):
+    integrand = series.div(series.formal_derivative(u), series.add(_one(u), series.mul(u, u)))
+    return _with_constant(series.integrate(integrand), math.atan(u.coeffs[0]))
+
+
+def _batch_pow(e, base):
+    c = e.right.value
+    if c != int(c):
+        return series.elementary("exp", series.scale(c, series.elementary("ln", base)))
+    out = _one(base)
+    for _ in range(abs(int(c))):
+        out = series.mul(out, base)
+    return series.div(_one(base), out) if c < 0 else out
+
+
+# each operator's series as the batch kernels compose it
+_BATCH = {
+    "neg": lambda e, u: series.negate(u),
+    "sec": lambda e, u: series.div(_one(u), series.sin_cos(u)[1]),
+    "tan": _batch_tan,
+    "asin": _batch_asin,
+    "atan": _batch_atan,
+    "sqrt_neg": lambda e, u: series.negate(series.elementary("sqrt_pos", u)),
+    "pow": _batch_pow,
+    "add": lambda e, a, b: series.add(a, b),
+    "sub": lambda e, a, b: series.sub(a, b),
+    "mul": lambda e, a, b: series.mul(a, b),
+    "div": lambda e, a, b: series.div(a, b),
+}
+
+
+def _batch_walk(e, binding, t0, n):
+    """A tree walk that evaluates whole series with the batch kernels."""
+    if isinstance(e, Number):
+        return series.constant(e.value, t0, n)
+    if isinstance(e, Time):
+        return series.time_var(t0, n)
+    if isinstance(e, Unknown):
+        return series.rescale_argument(binding[e.name], e.scale)
+    if isinstance(e, Deriv):
+        d = series.formal_derivative(binding[e.name], e.order)
+        if e.scale != 1.0:
+            d = series.scale(e.scale**e.order, series.rescale_argument(d, e.scale))
+        return d
+    if isinstance(e, Integral):
+        return series.integrate(_batch_walk(e.body, binding, t0, n))
+    if isinstance(e, Unary):
+        operands = (_batch_walk(e.child, binding, t0, n),)
+    elif e.op == "pow":
+        operands = (_batch_walk(e.left, binding, t0, n),)
+    else:
+        operands = (_batch_walk(e.left, binding, t0, n), _batch_walk(e.right, binding, t0, n))
+    rule = _BATCH.get(e.op, lambda e, u: series.elementary(e.op, u))
+    try:
+        return rule(e, *operands)
+    except (DomainError, DivisionBySingularSeries) as err:
+        if err.node is None:
+            err.node = e
+            err.args = (f"{err} in '{to_text(e)}'",)
+        raise
+
+
+def _outcome(evaluate):
+    """Coefficients as exact bit patterns, or the error's type and text."""
+    try:
+        return [c.hex() for c in evaluate().coeffs]
+    except (DtmError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def _random_jet(data, n, head):
+    tail = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return jet([data.draw(st.floats(*head))] + tail)
+
+
+@pytest.mark.parametrize("name", sorted(E.OPS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_tape_matches_batch_kernels(name, data):
+    """Every operator's tape nodes give the batch composition's bits."""
+    op = E.OPS[name]
+    n = data.draw(st.integers(1, 40))
+    a = _random_jet(data, n, _DOMAIN.get(name, (-2.0, 2.0)))
+    if op.const_exponent:
+        expo = data.draw(st.sampled_from([-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 2.5]))
+        node = Binary(name, Unknown("a"), Number(expo))
+    elif len(op.operand_prec) == 2:
+        node = Binary(name, Unknown("a"), Unknown("b"))
+    else:
+        node = Unary(name, Unknown("a"))
+    binding = {"a": a, "b": _random_jet(data, n, (0.5, 2.0))}
+    want = _outcome(lambda: _batch_walk(node, binding, 0.0, n))
+    assert isinstance(want, list)
+    assert _outcome(lambda: eval_series(node, binding, 0.0, n)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_parseable_trees(), data=st.data())
+def test_tape_matches_batch_walk_on_random_trees(tree, data):
+    """Random trees, shared subtrees and all: the same bits or the same error."""
+    n = data.draw(st.integers(1, 12))
+    binding = {u: _random_jet(data, n, (0.1, 0.9)) for u in "yz"}
+    want = _outcome(lambda: _batch_walk(tree, binding, 0.0, n))
+    assert _outcome(lambda: eval_series(tree, binding, 0.0, n)) == want
+
+
+def test_tape_shares_equal_subtrees():
+    tape = series.Tape(4)
+    y = (0.5, 1.0, 0.0, 0.0, 0.0)
+    f = parse("ln(1 + y)*ln(1 + y) + sin(y) + cos(y) + 0*y + -0*y", ["y"])
+    E.compile_series(tape, f, {"y": y}.__getitem__, 0.0)
+    # 1, 1 + y, ln, the product, sin/cos as one pair, 0 and -0 apart, 0*y, -0*y
+    # and the four sums
+    assert len(tape.nodes) == 14
+
+
+def test_tape_defers_errors_to_their_node():
+    # the walk meets ln(-1) before the unbound unknown on its right
+    f = Binary("add", parse("ln(0 - 1)", []), Unknown("w"))
+    with pytest.raises(DomainError, match="in 'ln\\(0 - 1\\)'"):
+        eval_series(f, {}, 0.0, 2)
+    with pytest.raises(UnboundSymbol):
+        eval_series(Binary("add", Unknown("w"), parse("ln(0 - 1)", [])), {}, 0.0, 2)

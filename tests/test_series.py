@@ -79,6 +79,11 @@ def test_mul_examples():
     assert mul(s([0, 1, 0]), s([0, 1, 0])).coeffs == (0, 0, 1)
 
 
+def test_mul_skips_zero_left_coefficients():
+    # a zero coefficient of the left operand contributes no 0 * inf = nan
+    assert mul(s([0.0, 1.0]), s([math.inf, 1.0])).coeffs == (0.0, math.inf)
+
+
 def test_mul_matches_brute_force_convolution():
     rng = np.random.default_rng(7)
     for _ in range(20):

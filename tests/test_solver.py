@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from dtm import expr as E
 from dtm import solver as S
 from dtm.errors import (
+    DomainError,
     NonlinearStep,
     ParseError,
     ResidualError,
@@ -13,6 +15,7 @@ from dtm.errors import (
     ValidationError,
 )
 from dtm.solver import (
+    compile_equations,
     error_table,
     equation_series,
     load_bundled,
@@ -192,23 +195,26 @@ def _fresh_state(spec, order=None):
 
 def test_step_log_problem_first_coefficient():
     spec = load_problem(EX1_TEXT)
-    state = step(spec, _fresh_state(spec), 0)
+    state = _fresh_state(spec)
+    step(spec, compile_equations(spec, state), 0)
     assert state["y"][1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_step_tangent_problem_third_coefficient():
     spec = load_bundled("ex5")
     state = _fresh_state(spec)
-    step(spec, state, 0)
-    step(spec, state, 1)
+    tapes = compile_equations(spec, state)
+    step(spec, tapes, 0)
+    step(spec, tapes, 1)
     assert state["y"][3] == pytest.approx(1 / 3, rel=1e-14)
 
 
 def test_step_damped_problem_third_coefficient():
     spec = load_bundled("ex2_paper")
     state = _fresh_state(spec)
+    tapes = compile_equations(spec, state)
     for k in range(3):
-        step(spec, state, k)
+        step(spec, tapes, k)
     assert state["y"][3] == pytest.approx(-23 / 3000, rel=1e-13)
 
 
@@ -222,8 +228,9 @@ eq: 0*diff(y, 1) = y solves y order 1
 init y: 1
 """
     spec = load_problem(text)
+    state = _fresh_state(spec)
     with pytest.raises(SingularStep):
-        step(spec, _fresh_state(spec), 0)
+        step(spec, compile_equations(spec, state), 0)
 
 
 def test_step_nonlinear_in_top_coefficient():
@@ -236,8 +243,9 @@ eq: diff(y, 1)^2 = t solves y order 1
 init y: 1
 """
     spec = load_problem(text)
+    state = _fresh_state(spec)
     with pytest.raises(NonlinearStep):
-        step(spec, _fresh_state(spec), 0)
+        step(spec, compile_equations(spec, state), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +351,88 @@ def test_order_monotonicity_on_corpus():
             table = error_table(spec.with_order(order), sol, spec.exact)
             worst.append(max(r[3] for u in spec.unknowns for r in table[u]))
         assert worst[0] >= worst[1] >= worst[2], (name, worst)
+
+
+def _bits(values):
+    return [c.hex() for c in values]
+
+
+@pytest.mark.parametrize("name", S.bundled_names())
+def test_solve_coefficients_do_not_depend_on_the_order(name):
+    # ex6 stops with SingularStep from N = 48 on (ROADMAP item 4b)
+    spec = load_bundled(name)
+    top = 40 if name == "ex6" else 80
+    full = solve(spec, order=top)
+    for n in (5, 10, 15, 40):
+        if n >= top:
+            continue
+        sol = solve(spec, order=n)
+        for u in spec.unknowns:
+            assert _bits(sol.coeffs(u)) == _bits(full.coeffs(u)[: n + 1]), (name, n, u)
+
+
+def test_solve_evaluates_each_equation_once(monkeypatch):
+    # the steps run on tapes; only the final residual check evaluates the
+    # equations afresh
+    calls = []
+    real = S.equation_series
+    monkeypatch.setattr(S, "equation_series", lambda eq, *a: calls.append(eq) or real(eq, *a))
+    spec = load_bundled("ex7")
+    solve(spec, order=20)
+    assert calls == list(spec.equations)
+
+
+_LOOKAHEAD = """\
+name: lookahead
+t0: 0
+order: 6
+unknown: y
+eq: diff(y, 1) = y*diff(y, 2) + 1 solves y order 1
+init y: 1
+"""
+
+_COUPLED = """\
+name: coupled
+t0: 0
+order: 6
+unknown: a
+unknown: b
+eq: diff(a, 1) = {first} solves a order 1
+eq: diff(b, 1) = {second} solves b order 1
+init a: 1
+init b: 1
+"""
+
+
+def test_load_rejects_a_diff_atom_that_reads_ahead():
+    with pytest.raises(ValidationError, match="line 5: diff\\(y, 2\\) reads a coefficient"):
+        load_problem(_LOOKAHEAD)
+    # b's coefficient k+1 is determined after a's equation needs it
+    with pytest.raises(ValidationError, match="line 6: diff\\(b, 1\\)"):
+        load_problem(_COUPLED.format(first="diff(b, 1)", second="a"))
+    # a's coefficient k+1 is final by the time b's equation reads it
+    sol = solve(load_problem(_COUPLED.format(first="b", second="diff(a, 1)")))
+    assert sol.coeffs("a")[:3] == pytest.approx([1.0, 1.0, 0.5], rel=1e-14)
+    assert sol.coeffs("b")[:3] == pytest.approx([1.0, 1.0, 0.5], rel=1e-14)
+
+
+def test_solve_fails_where_a_fresh_evaluation_would():
+    # a's chosen Y(1) = 5 puts ln(3 - diff(a, 1)) out of its domain, which a
+    # fresh evaluation first meets at a's next step; b's equation fails at
+    # step 0 before that
+    text = _COUPLED.format(first="a + 0*ln(3 - diff(a, 1))", second="diff(b, 1) + b")
+    text = text.replace("init a: 1", "init a: 5")
+    with pytest.raises(SingularStep, match="'b' does not determine Y\\(1\\) \\(step k=0\\)"):
+        solve(load_problem(text))
+    with pytest.raises(DomainError, match="got -2.0 in 'ln\\(3 - diff\\(a, 1\\)\\)'"):
+        solve(load_problem(text.replace("diff(b, 1) + b", "a")))
+
+
+def test_solve_refuses_a_lookahead_built_in_code():
+    spec = load_problem(_COUPLED.format(first="b", second="a"))
+    eq_a = replace(spec.equations[0], rhs=E.Deriv("b", 1))
+    with pytest.raises(ValidationError, match="'coupled': diff\\(b, 1\\)"):
+        solve(replace(spec, equations=(eq_a, spec.equations[1])))
 
 
 # ---------------------------------------------------------------------------
